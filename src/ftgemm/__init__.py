@@ -18,7 +18,7 @@ from .abft import (
     protect_gemm,
     strategy_from_name,
 )
-from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm, flip_bits, inject_single
+from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm, inject_single
 from .tensor_core import GemmShape, OpCounter, gemm
 from .thresholds import (
     AlphaAssignment,
@@ -27,7 +27,6 @@ from .thresholds import (
     alpha_to_threshold,
     binary_search_global_alpha,
     greedy_gemmwise_search,
-    profile_deviations,
 )
 from .workload import (
     Dataset,
@@ -35,7 +34,7 @@ from .workload import (
     Model,
     ModelConfig,
     build_model,
-    evaluate_accuracy,
+    evaluate,
     forward,
     generate_dataset,
 )

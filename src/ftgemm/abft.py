@@ -83,11 +83,7 @@ class DetectionReport:
 
 @dataclass
 class SumProfiles:
-    predicted_row: np.ndarray
-    actual_row: np.ndarray
     rsd: np.ndarray
-    predicted_col: np.ndarray
-    actual_col: np.ndarray
     csd: np.ndarray
     row_scale: np.ndarray
     col_scale: np.ndarray
@@ -173,11 +169,7 @@ def compute_sum_profiles(
             + m + n  # deviation subtractions
         )
     return SumProfiles(
-        predicted_row=predicted_row,
-        actual_row=actual_row,
         rsd=predicted_row - actual_row,
-        predicted_col=predicted_col,
-        actual_col=actual_col,
         csd=predicted_col - actual_col,
         row_scale=row_scale,
         col_scale=col_scale,
@@ -193,9 +185,11 @@ def localize(
     thresholds: ThresholdSet | None = None,
     counter: OpCounter | None = None,
 ) -> Localization:
-    ts = thresholds if thresholds is not None else ThresholdSet()
-    row_thr = np.maximum(ts.row_threshold, _deviation_floors(profiles.row_scale))
-    col_thr = np.maximum(ts.col_threshold, _deviation_floors(profiles.col_scale))
+    row_thr = _deviation_floors(profiles.row_scale)
+    col_thr = _deviation_floors(profiles.col_scale)
+    if thresholds is not None:
+        row_thr = np.maximum(thresholds.row_threshold, row_thr)
+        col_thr = np.maximum(thresholds.col_threshold, col_thr)
     bad_rows = (~np.isfinite(profiles.rsd)) | (np.abs(profiles.rsd) > row_thr)
     bad_cols = (~np.isfinite(profiles.csd)) | (np.abs(profiles.csd) > col_thr)
     if counter is not None:
@@ -300,23 +294,15 @@ def protect_gemm(
     (or ignore, per strategy). `tamper` is a test hook applied to the raw
     output before detection, for controlled-error experiments.
     """
-    ts = thresholds if thresholds is not None else ThresholdSet()
     checksums = precompute_checksums(A, B, counter)
     C = faulty_gemm(A, B, cfg, stream, counter, record=record)
     if tamper is not None:
         C = tamper(C)
-    detect_ts = ThresholdSet(
-        detect_threshold=ts.detect_threshold if strategy.detection == "AED" else 0.0
-    )
-    det = detect(C, checksums, detect_ts, counter)
+    det = detect(C, checksums, thresholds if strategy.detection == "AED" else None, counter)
     report = CorrectionReport(strategy=strategy.correction)
     if det.triggered:
         profiles = compute_sum_profiles(A, B, C, counter, checksums=checksums)
-        loc_ts = ThresholdSet(
-            row_threshold=ts.row_threshold if strategy.localization == "AEL" else 0.0,
-            col_threshold=ts.col_threshold if strategy.localization == "AEL" else 0.0,
-        )
-        loc = localize(profiles, loc_ts, counter)
+        loc = localize(profiles, thresholds if strategy.localization == "AEL" else None, counter)
         C, residual = correct_exact(C, loc, profiles)
         report.exact_corrected = len(loc.candidates) - len(residual)
         if counter is not None:

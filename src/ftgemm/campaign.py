@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abft import ThresholdSet, compute_sum_profiles, localize, precompute_checksums, strategy_from_name
+from .abft import ThresholdSet, compute_sum_profiles, detect, localize, precompute_checksums, strategy_from_name
 from .faults import FaultConfig
 from .tensor_core import OpCounter
 from .thresholds import (
@@ -196,24 +196,19 @@ class _Context:
 def _build_context(config: CampaignConfig) -> _Context:
     model = build_model(config.model)
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
-    thresholds: dict[float, dict[str, ThresholdSet] | None] = {}
-    for ber in config.bers:
-        if config.profiles is not None and ber in config.profiles:
-            if isinstance(config.alphas, AlphaAssignment):
-                assignment = config.alphas
-            elif config.alphas is not None:
-                assignment = AlphaAssignment.uniform(
-                    [n.gemm_id for n in model.nodes], float(config.alphas)
-                )
-            else:
-                assignment = None
-            thresholds[ber] = (
-                thresholds_from_assignment(config.profiles[ber], assignment)
-                if assignment is not None
-                else None
-            )
-        else:
-            thresholds[ber] = None
+    if isinstance(config.alphas, AlphaAssignment):
+        assignment = config.alphas
+    elif config.alphas is not None:
+        assignment = AlphaAssignment.uniform([n.gemm_id for n in model.nodes], float(config.alphas))
+    else:
+        assignment = None
+    profiles = config.profiles or {}
+    thresholds = {
+        ber: thresholds_from_assignment(profiles[ber], assignment)
+        if assignment is not None and ber in profiles
+        else None
+        for ber in config.bers
+    }
     return _Context(model=model, dataset=dataset, thresholds=thresholds, config=config)
 
 
@@ -234,20 +229,8 @@ def _run_point(ctx: _Context, ber: float, strategy_name: str, trial: int) -> dic
         counter,
         trial=trial,
     )
-    return {
-        "ber": ber,
-        "strategy": strategy_name,
-        "trial": trial,
-        "accuracy": stats.accuracy,
-        "workload_mults": counter.workload_mults,
-        "abft_mults": counter.abft_mults,
-        "abft_adds": counter.abft_adds,
-        "abft_comparisons": counter.abft_comparisons,
-        "detections_triggered": stats.detections_triggered,
-        "exact_corrected": stats.exact_corrected,
-        "approx_corrected": stats.approx_corrected,
-        "ignored": stats.ignored,
-    }
+    values = dict(vars(counter), **vars(stats), ber=ber, strategy=strategy_name, trial=trial)
+    return {k: values[k] for k in RESULT_FIELDS}
 
 
 _WORKER_CTX: _Context | None = None
@@ -264,13 +247,19 @@ def _worker_run(task):
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> list[dict]:
-    """Execute the full sweep; one row per (ber, strategy, trial), sorted."""
+    """Execute the full sweep; one row per (ber, strategy, trial), sorted.
+
+    Runs in-process with one worker, else in a pool of at most one process
+    per task."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [
         (ber, s, t)
         for ber in config.bers
         for s in config.strategies
         for t in range(config.trials)
     ]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(config,)
@@ -357,9 +346,7 @@ def compute_stats(
         ck = precompute_checksums(A, B)
         prof = compute_sum_profiles(A, B, C, checksums=ck)
         if node.gemm_id in selected:
-            msd_samples[node.gemm_id].append(
-                abs(ck.predicted_total - float(C.sum(dtype=np.float64)))
-            )
+            msd_samples[node.gemm_id].append(detect(C, ck).msd)
             rc_samples[node.gemm_id].extend(
                 float(v) for v in np.abs(np.concatenate([prof.rsd, prof.csd]))
             )

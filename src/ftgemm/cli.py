@@ -5,6 +5,7 @@ error."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -75,16 +76,16 @@ def cmd_search(args) -> int:
 
 def cmd_run(args) -> int:
     config = camp.load_config(args.config)
+    overrides = {}
     if args.strategy:
-        config.strategies = args.strategy
+        overrides["strategies"] = args.strategy
     if args.ber:
-        config.bers = [float(b) for b in args.ber]
+        overrides["bers"] = [float(b) for b in args.ber]
     if args.trials is not None:
-        config.trials = args.trials
+        overrides["trials"] = args.trials
     if args.out:
-        config.output_path = args.out
-    # re-validate after overrides
-    config.__post_init__()
+        overrides["output_path"] = args.out
+    config = dataclasses.replace(config, **overrides)  # validates the result
     rows = camp.run_campaign(config, workers=args.workers)
     camp.emit(rows, config.output_format, config.output_path)
     print(f"wrote {len(rows)} result rows to {config.output_path}")

@@ -17,11 +17,6 @@ from .tensor_core import OpCounter, ShapeError, as_matrix
 
 _MASK64 = (1 << 64) - 1
 
-# Above this expected flip count per call the dense per-bit sampler is cheaper
-# than drawing individual positions.
-_DENSE_FLIP_CUTOVER = 4096
-
-
 def _id_hash(gemm_id: str) -> int:
     return int.from_bytes(hashlib.sha256(str(gemm_id).encode()).digest()[:8], "little")
 
@@ -71,21 +66,6 @@ class FaultRecord:
         return self.error_cells.sum(axis=0)
 
 
-def flip_bits(value, ber: float, stream: RngStream):
-    """Flip each of the 32 bits of a float32 value independently with
-    probability ber. Consumes exactly 32 Bernoulli draws from the stream."""
-    if not 0.0 <= ber <= 1.0:
-        raise ValueError(f"ber must be in [0, 1], got {ber}")
-    draws = stream.gen.random(32)
-    mask = 0
-    for b in range(32):
-        if draws[b] < ber:
-            mask |= 1 << b
-    buf = np.array([value], dtype=np.float32)
-    buf.view(np.uint32)[0] ^= np.uint32(mask)
-    return buf[0]
-
-
 def _draw_positions(gen: np.random.Generator, nbits: int, count: int) -> np.ndarray:
     return gen.choice(nbits, size=count, replace=False)
 
@@ -100,27 +80,6 @@ def _apply_flips(arr: np.ndarray, positions: np.ndarray, cell_mask: np.ndarray |
         cell_mask.reshape(-1)[flat] = True
 
 
-def flip_bits_batch(values, ber: float, stream: RngStream) -> np.ndarray:
-    """Vectorized equivalent of flip_bits over an array (returns a copy)."""
-    if not 0.0 <= ber <= 1.0:
-        raise ValueError(f"ber must be in [0, 1], got {ber}")
-    arr = np.array(values, dtype=np.float32)
-    if ber == 0.0 or arr.size == 0:
-        return arr
-    nbits = arr.size * 32
-    if nbits * ber >= _DENSE_FLIP_CUTOVER:
-        mask = np.zeros(arr.size, dtype=np.uint32)
-        for b in range(32):
-            mask |= (stream.gen.random(arr.size) < ber).astype(np.uint32) << np.uint32(b)
-        view = arr.view(np.uint32).reshape(-1)
-        view ^= mask
-    else:
-        count = int(stream.gen.binomial(nbits, ber))
-        if count:
-            _apply_flips(arr, _draw_positions(stream.gen, nbits, count), None)
-    return arr
-
-
 def faulty_gemm(
     A,
     B,
@@ -128,14 +87,13 @@ def faulty_gemm(
     stream: RngStream,
     counter: OpCounter | None = None,
     record: FaultRecord | None = None,
-    forced=None,
 ) -> np.ndarray:
     """GEMM with bit flips injected into every primitive-operation output.
 
-    With cfg.ber == 0 the result is bit-identical to gemm(). `forced` is a
-    test hook: a list of (kind, step, i, j, bit) tuples with kind in
-    {"mul", "add"} that deterministically flips the named bit of the named
-    primitive output at the named k-step.
+    With cfg.ber == 0 the result is bit-identical to gemm(). The stream
+    first draws one binomial flip count per k-step class (k multiplies, then
+    k-1 accumulates), then, step by step, the distinct bit positions of each
+    nonzero count among the 32*m*n bits of that step's output.
     """
     A = np.ascontiguousarray(as_matrix(A))
     B = np.ascontiguousarray(as_matrix(B))
@@ -151,43 +109,31 @@ def faulty_gemm(
     else:
         counts = np.zeros(nclasses, dtype=np.int64)
 
-    forced_map: dict[tuple[str, int], list] = {}
-    for kind, step, i, j, bit in forced or ():
-        forced_map.setdefault((kind, step), []).append((i, j, bit))
-
     mask = np.zeros((m, n), dtype=bool) if record is not None else None
     C = np.zeros((m, n), dtype=np.float32)
     # flips legitimately produce inf/NaN; accumulate without warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _accumulate(A, B, C, counts, stream, forced_map, mask, nbits, k)
+        _accumulate(A, B, C, counts, stream, mask, nbits, k)
     if record is not None:
         record.error_cells = mask
-        record.flips = int(counts.sum()) + sum(len(v) for v in forced_map.values())
+        record.flips = int(counts.sum())
     if counter is not None:
         counter.workload_mults += m * k * n
         counter.workload_adds += m * (k - 1) * n
     return C
 
 
-def _accumulate(A, B, C, counts, stream, forced_map, mask, nbits, k):
+def _accumulate(A, B, C, counts, stream, mask, nbits, k):
     for kk in range(k):
         prod = np.ascontiguousarray(A[:, kk, None] * B[kk, None, :])
         c = int(counts[kk])
         if c:
             _apply_flips(prod, _draw_positions(stream.gen, nbits, c), mask)
-        for i, j, bit in forced_map.get(("mul", kk), ()):
-            prod.view(np.uint32)[i, j] ^= np.uint32(1 << bit)
-            if mask is not None:
-                mask[i, j] = True
         C += prod
         if kk:
             ca = int(counts[k - 1 + kk])
             if ca:
                 _apply_flips(C, _draw_positions(stream.gen, nbits, ca), mask)
-            for i, j, bit in forced_map.get(("add", kk), ()):
-                C.view(np.uint32)[i, j] ^= np.uint32(1 << bit)
-                if mask is not None:
-                    mask[i, j] = True
 
 
 def inject_single(C, r: int, c: int, delta) -> np.ndarray:

@@ -39,23 +39,6 @@ class OpCounter:
     abft_adds: int = 0
     abft_comparisons: int = 0
 
-    def merge(self, other: "OpCounter") -> "OpCounter":
-        self.workload_mults += other.workload_mults
-        self.workload_adds += other.workload_adds
-        self.abft_mults += other.abft_mults
-        self.abft_adds += other.abft_adds
-        self.abft_comparisons += other.abft_comparisons
-        return self
-
-    def copy(self) -> "OpCounter":
-        return OpCounter(
-            self.workload_mults,
-            self.workload_adds,
-            self.abft_mults,
-            self.abft_adds,
-            self.abft_comparisons,
-        )
-
 
 def as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float32)
@@ -106,39 +89,3 @@ def layernorm_rows(X, scale, shift, eps: float = 1e-6) -> np.ndarray:
     var = (d * d).mean(axis=1, keepdims=True, dtype=np.float32)
     y = d / np.sqrt(var + np.float32(eps))
     return (y * scale + shift).astype(np.float32)
-
-
-_ACTIVATIONS = {
-    "softmax_rows": lambda X, params: softmax_rows(X),
-    "gelu": lambda X, params: gelu(X),
-    "layernorm_rows": lambda X, params: layernorm_rows(X, params["scale"], params["shift"]),
-}
-
-
-def apply_activation(X, kind: str, params: dict | None = None) -> np.ndarray:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation kind: {kind!r}") from None
-    return fn(X, params or {})
-
-
-def row_sums(X, counter: OpCounter | None = None) -> np.ndarray:
-    X = as_matrix(X)
-    if counter is not None:
-        counter.abft_adds += X.shape[0] * (X.shape[1] - 1)
-    return X.sum(axis=1, dtype=np.float64)
-
-
-def col_sums(X, counter: OpCounter | None = None) -> np.ndarray:
-    X = as_matrix(X)
-    if counter is not None:
-        counter.abft_adds += X.shape[1] * (X.shape[0] - 1)
-    return X.sum(axis=0, dtype=np.float64)
-
-
-def total_sum(X, counter: OpCounter | None = None) -> float:
-    X = as_matrix(X)
-    if counter is not None:
-        counter.abft_adds += X.size - 1
-    return float(X.sum(dtype=np.float64))

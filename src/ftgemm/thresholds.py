@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abft import ThresholdSet, compute_sum_profiles, precompute_checksums, strategy_from_name
+from .abft import REL_EPS, ThresholdSet, compute_sum_profiles, detect, precompute_checksums, strategy_from_name
 from .faults import FaultConfig
-from .workload import Dataset, Model, evaluate_accuracy, forward
+from .workload import Dataset, Model, evaluate, forward
 
 
 @dataclass
@@ -97,8 +97,6 @@ def alpha_to_threshold(profile_min: float, profile_max: float, alpha: float) -> 
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if profile_min > profile_max:
         raise ValueError("profile min must not exceed max")
-    from .abft import REL_EPS
-
     return max(REL_EPS, profile_min + (profile_max - profile_min) * alpha)
 
 
@@ -118,7 +116,7 @@ def profile_all(
     def obs(node, A, B, C, rec):
         ck = precompute_checksums(A, B)
         prof = compute_sum_profiles(A, B, C, checksums=ck)
-        msd = abs(ck.predicted_total - float(C.sum(dtype=np.float64)))
+        msd = detect(C, ck).msd
         if math.isfinite(msd):
             msd_samples[node.gemm_id].append(msd)
         rc = np.abs(np.concatenate([prof.rsd, prof.csd]))
@@ -146,14 +144,6 @@ def profile_all(
             sample_count=trials,
         )
     return profiles
-
-
-def profile_deviations(
-    model: Model, inputs, gemm_id: str, ber: float, trials: int, seed: int
-) -> DeviationProfile:
-    if gemm_id not in model.node_by_id:
-        raise KeyError(f"unknown gemm_id {gemm_id!r}")
-    return profile_all(model, inputs, ber, trials, seed)[gemm_id]
 
 
 def thresholds_from_assignment(
@@ -203,7 +193,7 @@ def _mean_accuracy(
     thresholds = thresholds_from_assignment(profiles, assignment)
     fault_cfg = FaultConfig(ber=cfg.ber, seed=base_seed)
     accs = [
-        evaluate_accuracy(model, dataset, fault_cfg, strategy, thresholds, trial=t)
+        evaluate(model, dataset, fault_cfg, strategy, thresholds, trial=t).accuracy
         for t in range(cfg.trials_per_eval)
     ]
     return float(np.mean(accs))

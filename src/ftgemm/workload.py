@@ -9,7 +9,7 @@ defined at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,8 +238,3 @@ def evaluate(
             stats.ignored += corr.ignored
     stats.accuracy = correct / len(dataset.inputs)
     return stats
-
-
-def evaluate_accuracy(model, dataset, cfg=None, strategy=None, thresholds=None,
-                      counter=None, trial=0) -> float:
-    return evaluate(model, dataset, cfg, strategy, thresholds, counter, trial).accuracy

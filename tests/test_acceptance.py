@@ -48,7 +48,6 @@ from ftgemm.workload import (
     ModelConfig,
     build_model,
     evaluate,
-    evaluate_accuracy,
     forward,
     generate_dataset,
 )
@@ -76,7 +75,7 @@ def _mean_acc(ber, strategy_name, thresholds, trials):
     strat = strategy_from_name(strategy_name)
     cfg = FaultConfig(ber, BASE_SEED)
     return [
-        evaluate_accuracy(MODEL, DATASET, cfg, strat, thresholds, trial=t)
+        evaluate(MODEL, DATASET, cfg, strat, thresholds, trial=t).accuracy
         for t in trials
     ]
 

@@ -16,7 +16,7 @@ from ftgemm.campaign import (
     run_campaign,
     select_gemms,
 )
-from ftgemm.thresholds import profile_all
+from ftgemm.thresholds import AlphaAssignment, profile_all
 from ftgemm.workload import ModelConfig
 
 
@@ -91,6 +91,37 @@ def test_campaign_deterministic_and_parallel(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_workers_below_one_rejected():
+    with pytest.raises(ConfigError):
+        run_campaign(make_config(), workers=0)
+
+
+def test_pool_capped_at_task_count(monkeypatch):
+    seen = []
+
+    class InlinePool:
+        """Runs the pool's initializer and tasks in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            seen.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("ftgemm.campaign.ProcessPoolExecutor", InlinePool)
+    config = make_config(bers=[0.0], strategies=["none"], trials=2)
+    rows = run_campaign(config, workers=8)
+    assert seen == [2]
+    assert rows == run_campaign(config, workers=1)
+
+
 def test_emit_csv_roundtrip(tmp_path, basic_rows):
     path = tmp_path / "r.csv"
     emit(basic_rows, "csv", path)
@@ -122,6 +153,14 @@ def test_approx_strategy_requires_alphas_and_profiles(default_model, small_datas
     assert {r["strategy"] for r in rows} == {"opt", "baseline"}
     opt = [r for r in rows if r["strategy"] == "opt"]
     assert all(r["ignored"] == 0 for r in opt)
+
+
+def test_per_gemm_alphas_match_global_alpha(default_model, small_dataset):
+    profiles = {1e-5: profile_all(default_model, small_dataset.inputs, 1e-5, 5, 7)}
+    ids = [n.gemm_id for n in default_model.nodes]
+    common = dict(bers=[1e-5], strategies=["opt"], trials=1, profiles=profiles)
+    per_gemm = run_campaign(make_config(alphas=AlphaAssignment.uniform(ids, 0.25), **common))
+    assert per_gemm == run_campaign(make_config(alphas=0.25, **common))
 
 
 def test_config_from_dict_and_validation():

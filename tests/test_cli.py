@@ -65,6 +65,12 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_override_is_validated(config_path, capsys):
+    # opt needs abft.alphas and abft.profiles, which this config lacks
+    assert main(["run", "--config", str(config_path), "--strategy", "opt"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_exit_code_runtime_error(config_path, tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
     assert main(["stats", "--config", str(config_path), "--trials", "1",

@@ -6,64 +6,9 @@ from ftgemm.faults import (
     FaultRecord,
     RngStream,
     faulty_gemm,
-    flip_bits,
-    flip_bits_batch,
     inject_single,
 )
 from ftgemm.tensor_core import OpCounter, gemm
-
-
-def test_flip_bits_ber_zero():
-    s = RngStream(1)
-    assert flip_bits(np.float32(3.75), 0.0, s) == np.float32(3.75)
-
-
-def test_flip_bits_ber_one_is_complement():
-    s = RngStream(2)
-    v = np.float32(1.5)
-    out = flip_bits(v, 1.0, s)
-    u = np.array([v], np.float32).view(np.uint32)[0]
-    expected = np.array([u ^ np.uint32(0xFFFFFFFF)], np.uint32).view(np.float32)[0]
-    np.testing.assert_array_equal(np.float32(out).view(np.uint32), np.float32(expected).view(np.uint32))
-
-
-def test_flip_bits_consumes_32_draws():
-    a = RngStream(3)
-    b = RngStream(3)
-    flip_bits(np.float32(1.0), 0.5, a)
-    b.gen.random(32)
-    # both streams must now be in the same state
-    assert a.gen.random() == b.gen.random()
-
-
-def test_flip_bits_invalid_ber():
-    with pytest.raises(ValueError):
-        flip_bits(np.float32(1.0), 1.5, RngStream(0))
-
-
-def test_flip_bits_batch_mean_flip_count():
-    # 1e6 values at ber=0.01: mean flipped bits per value ~ Binomial(32, ber)
-    s = RngStream(4)
-    vals = np.zeros(1_000_000, np.float32)
-    out = flip_bits_batch(vals, 0.01, s)
-    bits = np.unpackbits(out.view(np.uint8)).sum()
-    mean = bits / vals.size
-    sigma = np.sqrt(32 * 0.01 * 0.99 / vals.size)
-    assert abs(mean - 0.32) <= 3 * sigma
-
-
-def test_flip_bits_batch_sparse_statistics():
-    # >= 1e7 Bernoulli draws through the sparse path, within 5% of ber
-    s = RngStream(5)
-    vals = np.zeros(400_000, np.float32)
-    total_bits = vals.size * 32
-    ber = 1e-4
-    flipped = 0
-    for _ in range(4):
-        out = flip_bits_batch(vals, ber, s)
-        flipped += int(np.unpackbits(out.view(np.uint8)).sum())
-    freq = flipped / (4 * total_bits)
-    assert abs(freq - ber) / ber < 0.05
 
 
 def test_stream_determinism_and_key_separation():
@@ -92,20 +37,50 @@ def test_faulty_gemm_seed_determinism():
     np.testing.assert_array_equal(out1.view(np.uint32), out2.view(np.uint32))
 
 
+class _OneFlipGen:
+    """Stand-in generator: one flip in the first multiply step, at `position`."""
+
+    def __init__(self, position):
+        self.position = position
+
+    def binomial(self, n, p, size):
+        counts = np.zeros(size, dtype=np.int64)
+        counts[0] = 1
+        return counts
+
+    def choice(self, n, size, replace):
+        return np.array([self.position])
+
+
 def test_faulty_gemm_single_forced_mantissa_flip():
     rng = np.random.default_rng(2)
     A = rng.uniform(0.5, 1, (2, 2)).astype(np.float32)
     B = rng.uniform(0.5, 1, (2, 2)).astype(np.float32)
     clean = gemm(A, B)
+    stream = RngStream(0)
+    stream.gen = _OneFlipGen(1 * 32 + 10)  # bit 10 of cell (0, 1) in step 0's product
     rec = FaultRecord()
-    out = faulty_gemm(
-        A, B, FaultConfig(0.0, 0), RngStream(0), record=rec,
-        forced=[("mul", 0, 0, 1, 10)],
-    )
+    out = faulty_gemm(A, B, FaultConfig(0.5, 0), stream, record=rec)
     diff = out != clean
     assert diff.sum() == 1 and diff[0, 1]
     assert rec.error_cells[0, 1] and rec.error_cells.sum() == 1
     assert rec.flips == 1
+
+
+def test_faulty_gemm_flip_count_statistics():
+    # every multiply and accumulate output bit flips with probability ber
+    m = k = n = 8
+    ber, calls = 1e-3, 200
+    rng = np.random.default_rng(4)
+    A = rng.uniform(-1, 1, (m, k)).astype(np.float32)
+    B = rng.uniform(-1, 1, (k, n)).astype(np.float32)
+    flips = 0
+    for t in range(calls):
+        rec = FaultRecord()
+        faulty_gemm(A, B, FaultConfig(ber, 5), RngStream(5, "g", trial=t), record=rec)
+        flips += rec.flips
+    draws = 32 * m * n * (2 * k - 1) * calls
+    assert abs(flips - draws * ber) <= 3 * np.sqrt(draws * ber * (1 - ber))
 
 
 def test_faulty_gemm_counts_like_gemm():

@@ -11,7 +11,6 @@ from ftgemm.thresholds import (
     bisect_max_feasible,
     greedy_gemmwise_search,
     profile_all,
-    profile_deviations,
     thresholds_from_assignment,
 )
 
@@ -75,9 +74,7 @@ class TestBisect:
 
 class TestProfiles:
     def test_ber_zero_profile(self, default_model, small_dataset):
-        p = profile_deviations(
-            default_model, small_dataset.inputs, "layer0.attn.q", 0.0, 1, seed=1
-        )
+        p = profile_all(default_model, small_dataset.inputs, 0.0, 1, seed=1)["layer0.attn.q"]
         assert p.msd_min == p.msd_max
         assert p.msd_max <= 1e-4  # clean round-off only
 
@@ -86,10 +83,6 @@ class TestProfiles:
         b = profile_all(default_model, small_dataset.inputs, 1e-5, 5, seed=2)
         for gid in a:
             assert a[gid] == b[gid]
-
-    def test_unknown_gemm(self, default_model, small_dataset):
-        with pytest.raises(KeyError):
-            profile_deviations(default_model, small_dataset.inputs, "nope", 0.0, 1, 0)
 
     def test_faulty_profile_has_spread(self, default_model, small_dataset):
         profs = profile_all(default_model, small_dataset.inputs, 1e-5, 20, seed=3)

@@ -8,7 +8,6 @@ from ftgemm.workload import (
     ModelConfig,
     build_model,
     evaluate,
-    evaluate_accuracy,
     forward,
     generate_dataset,
 )
@@ -63,7 +62,7 @@ def test_ber_zero_passthrough(default_model, small_dataset):
 
 
 def test_dataset_self_labeled(default_model, small_dataset):
-    assert evaluate_accuracy(default_model, small_dataset) == 1.0
+    assert evaluate(default_model, small_dataset).accuracy == 1.0
     assert all(0 <= y < 10 for y in small_dataset.labels)
 
 
@@ -122,12 +121,11 @@ def test_forced_single_fault_restored_end_to_end(default_model, small_dataset):
 def test_accuracy_monotone_in_protection(default_model, small_dataset):
     cfg = FaultConfig(1e-5, 101)
     acc_none = np.mean([
-        evaluate_accuracy(default_model, small_dataset, cfg, None, trial=t)
+        evaluate(default_model, small_dataset, cfg, None, trial=t).accuracy
         for t in range(5)
     ])
     acc_opt = np.mean([
-        evaluate_accuracy(default_model, small_dataset, cfg,
-                          strategy_from_name("opt"), trial=t)
+        evaluate(default_model, small_dataset, cfg, strategy_from_name("opt"), trial=t).accuracy
         for t in range(5)
     ])
     assert acc_opt >= acc_none
