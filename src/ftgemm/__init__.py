@@ -18,7 +18,7 @@ from .abft import (
     protect_gemm,
     strategy_from_name,
 )
-from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm, inject_single
+from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
 from .tensor_core import GemmShape, OpCounter, gemm
 from .thresholds import (
     AlphaAssignment,

@@ -101,7 +101,6 @@ class CorrectionReport:
     exact_corrected: int = 0
     approx_corrected: int = 0
     ignored: int = 0
-    strategy: str = "BEC"
 
 
 def precompute_checksums(A, B, counter: OpCounter | None = None) -> Checksums:
@@ -285,21 +284,17 @@ def protect_gemm(
     stream: RngStream,
     counter: OpCounter | None = None,
     record: FaultRecord | None = None,
-    tamper=None,
 ):
     """Run one checksum-protected faulty GEMM.
 
     Pipeline: checksums -> faulty GEMM -> detection; on a trigger, sum
     profiles -> localization -> exact correction -> approximate correction
-    (or ignore, per strategy). `tamper` is a test hook applied to the raw
-    output before detection, for controlled-error experiments.
+    (or ignore, per strategy).
     """
     checksums = precompute_checksums(A, B, counter)
     C = faulty_gemm(A, B, cfg, stream, counter, record=record)
-    if tamper is not None:
-        C = tamper(C)
     det = detect(C, checksums, thresholds if strategy.detection == "AED" else None, counter)
-    report = CorrectionReport(strategy=strategy.correction)
+    report = CorrectionReport()
     if det.triggered:
         profiles = compute_sum_profiles(A, B, C, counter, checksums=checksums)
         loc = localize(profiles, thresholds if strategy.localization == "AEL" else None, counter)

@@ -8,20 +8,21 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .abft import ThresholdSet, compute_sum_profiles, detect, localize, precompute_checksums, strategy_from_name
+from .abft import STRATEGY_PRESETS, ThresholdSet, localize, strategy_from_name
 from .faults import FaultConfig
 from .tensor_core import OpCounter
 from .thresholds import (
     AlphaAssignment,
     DeviationProfile,
     SearchConfig,
+    sample_deviations,
     thresholds_from_assignment,
 )
-from .workload import Dataset, Model, ModelConfig, build_model, evaluate, forward, generate_dataset
+from .workload import Dataset, Model, ModelConfig, build_model, evaluate, generate_dataset
 
 RESULT_FIELDS = (
     "ber",
@@ -38,7 +39,9 @@ RESULT_FIELDS = (
     "ignored",
 )
 
-_APPROX_STRATEGIES = ("v1", "v2", "opt", "opt-avg")
+_APPROX_STRATEGIES = tuple(
+    name for name, s in STRATEGY_PRESETS.items() if s.detection == "AED" or s.localization == "AEL"
+)
 
 
 class ConfigError(ValueError):
@@ -193,22 +196,32 @@ class _Context:
     config: CampaignConfig
 
 
+def _thresholds(config: CampaignConfig, model: Model) -> dict[float, dict[str, ThresholdSet] | None]:
+    """Per-BER thresholds of the config's alphas. ConfigError unless the
+    alphas name exactly the model's GEMMs and the profiles they read miss none."""
+    gemm_ids = model.node_by_id.keys()  # set-like, in topological order
+    thresholds = dict.fromkeys(config.bers)
+    if config.alphas is None:
+        return thresholds
+    assignment = config.alphas
+    if not isinstance(assignment, AlphaAssignment):
+        assignment = AlphaAssignment.uniform(gemm_ids, float(assignment))
+    elif assignment.alphas.keys() != gemm_ids:
+        wrong = sorted(gemm_ids ^ assignment.alphas.keys())
+        raise ConfigError(f"abft.alphas must name exactly the model's GEMMs; missing or unknown: {wrong}")
+    profiles = config.profiles or {}
+    for ber in thresholds.keys() & profiles.keys():
+        missing = sorted(gemm_ids - profiles[ber].keys())
+        if missing:
+            raise ConfigError(f"profiles for ber={ber!r} miss GEMMs {missing}")
+        thresholds[ber] = thresholds_from_assignment(profiles[ber], assignment)
+    return thresholds
+
+
 def _build_context(config: CampaignConfig) -> _Context:
     model = build_model(config.model)
+    thresholds = _thresholds(config, model)
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
-    if isinstance(config.alphas, AlphaAssignment):
-        assignment = config.alphas
-    elif config.alphas is not None:
-        assignment = AlphaAssignment.uniform([n.gemm_id for n in model.nodes], float(config.alphas))
-    else:
-        assignment = None
-    profiles = config.profiles or {}
-    thresholds = {
-        ber: thresholds_from_assignment(profiles[ber], assignment)
-        if assignment is not None and ber in profiles
-        else None
-        for ber in config.bers
-    }
     return _Context(model=model, dataset=dataset, thresholds=thresholds, config=config)
 
 
@@ -261,6 +274,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> list[dict]:
     ]
     workers = min(workers, len(tasks))
     if workers > 1:
+        _thresholds(config, build_model(config.model))  # a ConfigError here, not a broken pool
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(config,)
         ) as pool:
@@ -283,15 +297,7 @@ class StatsReport:
     denominator: str = "flagged rows + flagged cols at baseline thresholds"
 
     def to_dict(self):
-        return {
-            "ber": self.ber,
-            "histograms": self.histograms,
-            "multi_error_fraction": self.multi_error_fraction,
-            "flagged_rows_cols": self.flagged_rows_cols,
-            "multi_error_rows_cols": self.multi_error_rows_cols,
-            "sample_count": self.sample_count,
-            "denominator": self.denominator,
-        }
+        return asdict(self)
 
 
 def _histogram(samples: list[float], bins: int = 20) -> dict:
@@ -333,37 +339,21 @@ def compute_stats(
 ) -> StatsReport:
     """MSD / |R/CSD| sample histograms for the selected GEMMs, plus the
     fraction of flagged rows/columns holding more than one true error."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     selected = set(select_gemms(model, gemm_selector))
     msd_samples: dict[str, list[float]] = {gid: [] for gid in selected}
     rc_samples: dict[str, list[float]] = {gid: [] for gid in selected}
     flagged = 0
     multi = 0
-
-    def obs(node, A, B, C, rec):
-        nonlocal flagged, multi
-        ck = precompute_checksums(A, B)
-        prof = compute_sum_profiles(A, B, C, checksums=ck)
+    for node, msd, prof, rec in sample_deviations(model, inputs, ber, trials, seed):
         if node.gemm_id in selected:
-            msd_samples[node.gemm_id].append(detect(C, ck).msd)
+            msd_samples[node.gemm_id].append(msd)
             rc_samples[node.gemm_id].extend(
                 float(v) for v in np.abs(np.concatenate([prof.rsd, prof.csd]))
             )
         loc = localize(prof)
-        true_rows = rec.errors_per_row()
-        true_cols = rec.errors_per_col()
-        for r in loc.faulty_rows:
-            flagged += 1
-            multi += int(true_rows[r] > 1)
-        for c in loc.faulty_cols:
-            flagged += 1
-            multi += int(true_cols[c] > 1)
-
-    cfg = FaultConfig(ber=ber, seed=seed)
-    for t in range(trials):
-        x = inputs[t % len(inputs)]
-        forward(model, x, cfg, None, None, None, trial=t, sample=0, observer=obs)
+        flagged += len(loc.faulty_rows) + len(loc.faulty_cols)
+        multi += int((rec.error_cells[list(loc.faulty_rows)].sum(axis=1) > 1).sum())
+        multi += int((rec.error_cells[:, list(loc.faulty_cols)].sum(axis=0) > 1).sum())
 
     return StatsReport(
         ber=ber,
@@ -387,12 +377,7 @@ def _format_value(v):
 
 
 def emit(result, fmt: str, path: str):
-    """Write campaign rows or a stats report; CSV numbers round-trip."""
-    if isinstance(result, StatsReport):
-        payload = result.to_dict()
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=1, sort_keys=True)
-        return
+    """Write campaign rows; CSV numbers round-trip."""
     rows = sorted(result, key=lambda r: (r["ber"], r["strategy"], r["trial"]))
     if fmt == "csv":
         with open(path, "w", newline="") as f:

@@ -11,7 +11,7 @@ import sys
 
 from . import campaign as camp
 from .campaign import ConfigError
-from .thresholds import AlphaAssignment, SearchConfig, binary_search_global_alpha, greedy_gemmwise_search, profile_all
+from .thresholds import AlphaAssignment, binary_search_global_alpha, greedy_gemmwise_search, profile_all
 from .workload import build_model, generate_dataset
 
 
@@ -48,18 +48,23 @@ def cmd_search(args) -> int:
     if config.profiles is None:
         raise ConfigError("search needs abft.profiles in the config")
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
-    scfg = config.search
-    scfg = SearchConfig(
-        accuracy_budget=args.budget if args.budget is not None else scfg.accuracy_budget,
-        trials_per_eval=scfg.trials_per_eval,
-        ber=args.ber if args.ber is not None else scfg.ber,
-        resolution=scfg.resolution,
-        order="ascending_size" if args.order == "ascending" else "inorder",
-        strategy=scfg.strategy,
-    )
+    overrides = {}
+    if args.budget is not None:
+        overrides["accuracy_budget"] = args.budget
+    if args.ber is not None:
+        overrides["ber"] = args.ber
+    if args.order is not None:
+        overrides["order"] = "ascending_size" if args.order == "ascending" else "inorder"
+    try:
+        scfg = dataclasses.replace(config.search, **overrides)  # validates the result
+    except ValueError as exc:
+        raise ConfigError(f"bad search override: {exc}") from None
     if scfg.ber not in config.profiles:
         raise ConfigError(f"no profiles for search ber={scfg.ber!r}")
     profiles = config.profiles[scfg.ber]
+    missing = sorted(model.node_by_id.keys() - profiles.keys())
+    if missing:
+        raise ConfigError(f"profiles for search ber={scfg.ber!r} miss GEMMs {missing}")
     if args.mode == "global":
         alpha, feasible = binary_search_global_alpha(
             model, dataset, scfg, profiles, config.base_seed
@@ -105,14 +110,10 @@ def cmd_stats(args) -> int:
         gemm_selector=selector,
     )
     payload = report.to_dict()
-    if args.kind != "all":
-        keep = {"msd": "msd", "rcsd": "rcsd"}.get(args.kind)
-        if keep:
-            payload["histograms"] = {
-                gid: {keep: h[keep]} for gid, h in payload["histograms"].items()
-            }
-        else:  # multierror
-            payload.pop("histograms")
+    if args.kind == "multierror":
+        payload.pop("histograms")
+    elif args.kind != "all":
+        payload["histograms"] = {gid: {args.kind: h[args.kind]} for gid, h in payload["histograms"].items()}
     with open(args.out, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
     print(f"wrote stats to {args.out}")
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search approximation thresholds")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=["global", "gemmwise"], default="global")
-    p.add_argument("--order", choices=["inorder", "ascending"], default="ascending")
+    p.add_argument("--order", choices=["inorder", "ascending"], default=None)
     p.add_argument("--budget", type=float, default=None)
     p.add_argument("--ber", type=float, default=None)
     p.add_argument("--out", required=True)

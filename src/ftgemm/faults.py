@@ -59,12 +59,6 @@ class FaultRecord:
     error_cells: np.ndarray | None = None  # bool mask, shape (m, n)
     flips: int = 0
 
-    def errors_per_row(self) -> np.ndarray:
-        return self.error_cells.sum(axis=1)
-
-    def errors_per_col(self) -> np.ndarray:
-        return self.error_cells.sum(axis=0)
-
 
 def _draw_positions(gen: np.random.Generator, nbits: int, count: int) -> np.ndarray:
     return gen.choice(nbits, size=count, replace=False)
@@ -135,13 +129,3 @@ def _accumulate(A, B, C, counts, stream, mask, nbits, k):
             if ca:
                 _apply_flips(C, _draw_positions(stream.gen, nbits, ca), mask)
 
-
-def inject_single(C, r: int, c: int, delta) -> np.ndarray:
-    """Return a copy of C with delta added to element (r, c)."""
-    C = as_matrix(C)
-    m, n = C.shape
-    if not (0 <= r < m and 0 <= c < n):
-        raise IndexError(f"({r}, {c}) out of bounds for {C.shape}")
-    out = C.copy()
-    out[r, c] = np.float32(out[r, c] + np.float32(delta))
-    return out

@@ -51,9 +51,8 @@ class AlphaAssignment:
                 raise ValueError(f"alpha out of range for {gid}: {(ad, al)}")
 
     @classmethod
-    def uniform(cls, gemm_ids, alpha: float, alpha_localize: float | None = None):
-        al = alpha if alpha_localize is None else alpha_localize
-        return cls({gid: (alpha, al) for gid in gemm_ids})
+    def uniform(cls, gemm_ids, alpha: float):
+        return cls({gid: (alpha, alpha) for gid in gemm_ids})
 
     def to_dict(self):
         return {gid: list(pair) for gid, pair in self.alphas.items()}
@@ -100,35 +99,39 @@ def alpha_to_threshold(profile_min: float, profile_max: float, alpha: float) -> 
     return max(REL_EPS, profile_min + (profile_max - profile_min) * alpha)
 
 
-def profile_all(
-    model: Model,
-    inputs,
-    ber: float,
-    trials: int,
-    seed: int,
-) -> dict[str, DeviationProfile]:
-    """Empirical per-GEMM MSD and |R/CSD| ranges from seeded faulty forwards."""
+def sample_deviations(model: Model, inputs, ber: float, trials: int, seed: int):
+    """Checksum deviations of seeded, unprotected, faulty forwards.
+
+    Trial t runs inputs[t % len(inputs)] as sample 0. Yields
+    (node, msd, SumProfiles, FaultRecord) for every GEMM node of every
+    trial, holding one trial's observations at a time.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    msd_samples: dict[str, list[float]] = {n.gemm_id: [] for n in model.nodes}
-    rc_samples: dict[str, list[float]] = {n.gemm_id: [] for n in model.nodes}
+    cfg = FaultConfig(ber=ber, seed=seed)
+    seen = []
 
     def obs(node, A, B, C, rec):
         ck = precompute_checksums(A, B)
-        prof = compute_sum_profiles(A, B, C, checksums=ck)
-        msd = detect(C, ck).msd
+        seen.append((node, detect(C, ck).msd, compute_sum_profiles(A, B, C, checksums=ck), rec))
+
+    for t in range(trials):
+        forward(model, inputs[t % len(inputs)], cfg, trial=t, observer=obs)
+        yield from seen
+        seen.clear()
+
+
+def profile_all(model: Model, inputs, ber: float, trials: int, seed: int) -> dict[str, DeviationProfile]:
+    """Empirical per-GEMM MSD and |R/CSD| ranges from sample_deviations."""
+    msd_samples: dict[str, list[float]] = {n.gemm_id: [] for n in model.nodes}
+    rc_samples: dict[str, list[float]] = {n.gemm_id: [] for n in model.nodes}
+    for node, msd, prof, _ in sample_deviations(model, inputs, ber, trials, seed):
         if math.isfinite(msd):
             msd_samples[node.gemm_id].append(msd)
         rc = np.abs(np.concatenate([prof.rsd, prof.csd]))
         rc = rc[np.isfinite(rc)]
         if rc.size:
-            rc_samples[node.gemm_id].append(float(rc.min()))
-            rc_samples[node.gemm_id].append(float(rc.max()))
-
-    cfg = FaultConfig(ber=ber, seed=seed)
-    for t in range(trials):
-        x = inputs[t % len(inputs)]
-        forward(model, x, cfg, None, None, None, trial=t, sample=0, observer=obs)
+            rc_samples[node.gemm_id] += (float(rc.min()), float(rc.max()))
 
     profiles = {}
     for node in model.nodes:

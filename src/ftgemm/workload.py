@@ -44,7 +44,6 @@ class ModelConfig:
 class GemmNode:
     gemm_id: str
     shape: GemmShape
-    kind: str  # weight_proj | attn_score | attn_value | classifier
 
 
 class Model:
@@ -81,25 +80,21 @@ def build_model(cfg: ModelConfig) -> Model:
             )
         for name in ("q", "k", "v"):
             nid = f"layer{layer}.attn.{name}"
-            nodes.append(GemmNode(nid, GemmShape(s, d, d), "weight_proj"))
+            nodes.append(GemmNode(nid, GemmShape(s, d, d)))
             weights[nid] = draw(d, d)
         for h in range(cfg.num_heads):
-            nodes.append(
-                GemmNode(f"layer{layer}.attn.head{h}.score", GemmShape(s, hd, s), "attn_score")
-            )
-            nodes.append(
-                GemmNode(f"layer{layer}.attn.head{h}.value", GemmShape(s, s, hd), "attn_value")
-            )
+            nodes.append(GemmNode(f"layer{layer}.attn.head{h}.score", GemmShape(s, hd, s)))
+            nodes.append(GemmNode(f"layer{layer}.attn.head{h}.value", GemmShape(s, s, hd)))
         nid = f"layer{layer}.attn.out"
-        nodes.append(GemmNode(nid, GemmShape(s, d, d), "weight_proj"))
+        nodes.append(GemmNode(nid, GemmShape(s, d, d)))
         weights[nid] = draw(d, d)
         nid = f"layer{layer}.ff.in"
-        nodes.append(GemmNode(nid, GemmShape(s, d, ff), "weight_proj"))
+        nodes.append(GemmNode(nid, GemmShape(s, d, ff)))
         weights[nid] = draw(d, ff)
         nid = f"layer{layer}.ff.out"
-        nodes.append(GemmNode(nid, GemmShape(s, ff, d), "weight_proj"))
+        nodes.append(GemmNode(nid, GemmShape(s, ff, d)))
         weights[nid] = draw(ff, d)
-    nodes.append(GemmNode("classifier", GemmShape(1, d, cfg.num_classes), "classifier"))
+    nodes.append(GemmNode("classifier", GemmShape(1, d, cfg.num_classes)))
     weights["classifier"] = draw(d, cfg.num_classes)
     return Model(cfg, nodes, weights, ln_params)
 

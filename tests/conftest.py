@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ftgemm.tensor_core import gemm
+from ftgemm import abft
+from ftgemm.faults import faulty_gemm
+from ftgemm.tensor_core import as_matrix, gemm
 from ftgemm.workload import ModelConfig, build_model, generate_dataset
 
 
@@ -31,6 +33,23 @@ def gemm_oracle(A, B):
                 acc = np.float32(acc + np.float32(A[i, kk] * B[kk, j]))
             C[i, j] = acc
     return C
+
+
+def inject_single(C, r: int, c: int, delta) -> np.ndarray:
+    """Return a copy of C with delta added to element (r, c)."""
+    C = as_matrix(C)
+    m, n = C.shape
+    if not (0 <= r < m and 0 <= c < n):
+        raise IndexError(f"({r}, {c}) out of bounds for {C.shape}")
+    out = C.copy()
+    out[r, c] = np.float32(out[r, c] + np.float32(delta))
+    return out
+
+
+def tamper_faulty_gemm(monkeypatch, tamper):
+    """Make protect_gemm see tamper(C) in place of its faulty GEMM's output C;
+    the GEMM itself still runs, so its op counts stay."""
+    monkeypatch.setattr(abft, "faulty_gemm", lambda *a, **k: tamper(faulty_gemm(*a, **k)))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gemm_oracle
+from conftest import inject_single, tamper_faulty_gemm
 from ftgemm.abft import (
     AbftStrategy,
     ThresholdSet,
@@ -15,7 +15,7 @@ from ftgemm.abft import (
     protect_gemm,
     strategy_from_name,
 )
-from ftgemm.faults import FaultConfig, RngStream, inject_single
+from ftgemm.faults import FaultConfig, RngStream
 from ftgemm.tensor_core import OpCounter, gemm
 
 
@@ -267,23 +267,24 @@ class TestProtectGemm:
         assert c.abft_mults == n
         np.testing.assert_array_equal(C, gemm(A, B))
 
-    def test_forced_single_fault_restored(self):
+    def test_forced_single_fault_restored(self, monkeypatch):
         rng = np.random.default_rng(9)
         n = 12
         A = rng.uniform(-1, 1, (n, n)).astype(np.float32)
         B = rng.uniform(-1, 1, (n, n)).astype(np.float32)
         clean = gemm(A, B)
         c = OpCounter()
+        tamper_faulty_gemm(monkeypatch, lambda M: inject_single(M, 3, 5, 40.0))
         C, det, rep = protect_gemm(
             A, B, FaultConfig(0.0, 2), strategy_from_name("baseline"), None,
-            RngStream(2), c, tamper=lambda M: inject_single(M, 3, 5, 40.0),
+            RngStream(2), c,
         )
         assert det.triggered
         assert rep.exact_corrected == 1
         assert c.abft_mults == n + 2 * n * n
         np.testing.assert_allclose(C, clean, atol=1e-3)
 
-    def test_uncorrectable_pattern_zeroed_under_opt(self):
+    def test_uncorrectable_pattern_zeroed_under_opt(self, monkeypatch):
         rng = np.random.default_rng(10)
         A = rng.uniform(-1, 1, (6, 6)).astype(np.float32)
         B = rng.uniform(-1, 1, (6, 6)).astype(np.float32)
@@ -293,16 +294,16 @@ class TestProtectGemm:
                 M = inject_single(M, r, c, d)
             return M
 
+        tamper_faulty_gemm(monkeypatch, tamper)
         C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 3), strategy_from_name("opt"), None,
-            RngStream(3), tamper=tamper,
+            A, B, FaultConfig(0.0, 3), strategy_from_name("opt"), None, RngStream(3),
         )
         assert rep.exact_corrected == 0 and rep.approx_corrected == 4
         assert rep.ignored == 0
         for r, c in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             assert C[r, c] == 0.0
 
-    def test_bec_ignores_residual(self):
+    def test_bec_ignores_residual(self, monkeypatch):
         rng = np.random.default_rng(11)
         A = rng.uniform(-1, 1, (6, 6)).astype(np.float32)
         B = rng.uniform(-1, 1, (6, 6)).astype(np.float32)
@@ -312,9 +313,9 @@ class TestProtectGemm:
                 M = inject_single(M, r, c, d)
             return M
 
+        tamper_faulty_gemm(monkeypatch, tamper)
         C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 4), strategy_from_name("baseline"), None,
-            RngStream(4), tamper=tamper,
+            A, B, FaultConfig(0.0, 4), strategy_from_name("baseline"), None, RngStream(4),
         )
         assert rep.ignored == 4 and rep.approx_corrected == 0
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
+from conftest import inject_single, tamper_faulty_gemm
 from ftgemm.abft import (
     REL_EPS,
     ThresholdSet,
@@ -34,7 +35,7 @@ from ftgemm.campaign import (
     profiles_to_dict,
     run_campaign,
 )
-from ftgemm.faults import FaultConfig, FaultRecord, RngStream, faulty_gemm, inject_single
+from ftgemm.faults import FaultConfig, RngStream, faulty_gemm
 from ftgemm.tensor_core import OpCounter, gemm
 from ftgemm.thresholds import (
     AlphaAssignment,
@@ -42,13 +43,13 @@ from ftgemm.thresholds import (
     binary_search_global_alpha,
     greedy_gemmwise_search,
     profile_all,
+    sample_deviations,
     thresholds_from_assignment,
 )
 from ftgemm.workload import (
     ModelConfig,
     build_model,
     evaluate,
-    forward,
     generate_dataset,
 )
 
@@ -112,7 +113,7 @@ def sweep():
     return {"accs": accs, "tuned": tuned}
 
 
-def test_cost_model_exactness():
+def test_cost_model_exactness(monkeypatch):
     t0 = time.time()
     ok = True
     for n in (8, 16, 32, 64):
@@ -127,10 +128,9 @@ def test_cost_model_exactness():
         ok &= not det.triggered and quiet.abft_mults == n
 
         loud = OpCounter()
-        _, det, _ = protect_gemm(
-            A, B, cfg, strat, None, RngStream(1, "c1", n), loud,
-            tamper=lambda C: inject_single(C, 0, 0, 1e6),
-        )
+        with monkeypatch.context() as mp:
+            tamper_faulty_gemm(mp, lambda C: inject_single(C, 0, 0, 1e6))
+            _, det, _ = protect_gemm(A, B, cfg, strat, None, RngStream(1, "c1", n), loud)
         ok &= det.triggered and loud.abft_mults == n + 2 * n * n
     elapsed = time.time() - t0
     _verdict(1, ok and elapsed < 1.0, f"n+2n^2 integer equalities, {elapsed:.2f}s")
@@ -209,7 +209,7 @@ def test_diagonal_multi_error_oracle():
     _verdict(3, bad == 0 and elapsed < 30.0, f"{500 - bad}/500 trials, {elapsed:.1f}s")
 
 
-def test_l_shape_pattern_zeroed():
+def test_l_shape_pattern_zeroed(monkeypatch):
     rng = np.random.default_rng(4)
     A = rng.uniform(-1, 1, (6, 8)).astype(np.float32)
     B = rng.uniform(-1, 1, (8, 6)).astype(np.float32)
@@ -241,9 +241,9 @@ def test_l_shape_pattern_zeroed():
         C = inject_single(C, 1, 3, 407.0)
         return inject_single(C, 4, 1, 555.0)
 
+    tamper_faulty_gemm(monkeypatch, tamper)
     _, det, report = protect_gemm(
-        A, B, FaultConfig(0.0, 1), strategy_from_name("opt"), None,
-        RngStream(1, "c4"), tamper=tamper,
+        A, B, FaultConfig(0.0, 1), strategy_from_name("opt"), None, RngStream(1, "c4"),
     )
     ok &= det.triggered and report.exact_corrected == 0 and report.approx_corrected == 4
     _verdict(4, ok, "4 candidate cells zeroed, 0 exact corrections")
@@ -315,19 +315,10 @@ def test_deviation_distribution_concentration(sweep):
         ber for ber in BERS if np.mean(sweep["accs"][(ber, "none")]) < 0.99
     ]
     ber = min(drop_bers)
-    samples = []
-
-    def obs(node, A, B, C, rec):
-        ck = precompute_checksums(A, B)
-        msd = abs(ck.predicted_total - float(C.sum(dtype=np.float64)))
-        if math.isfinite(msd):
-            samples.append(msd)
-
-    cfg = FaultConfig(ber, BASE_SEED)
-    for t in range(30):
-        forward(MODEL, DATASET.inputs[t], cfg, None, None, None,
-                trial=t, sample=0, observer=obs)
-    arr = np.array(samples)
+    arr = np.array([
+        msd for _, msd, _, _ in sample_deviations(MODEL, DATASET.inputs, ber, 30, BASE_SEED)
+        if math.isfinite(msd)
+    ])
     cut = arr.min() + 0.1 * (arr.max() - arr.min())
     frac = float((arr <= cut).mean())
     _verdict(

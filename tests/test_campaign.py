@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from ftgemm.campaign import (
@@ -161,6 +160,19 @@ def test_per_gemm_alphas_match_global_alpha(default_model, small_dataset):
     common = dict(bers=[1e-5], strategies=["opt"], trials=1, profiles=profiles)
     per_gemm = run_campaign(make_config(alphas=AlphaAssignment.uniform(ids, 0.25), **common))
     assert per_gemm == run_campaign(make_config(alphas=0.25, **common))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_alphas_and_profiles_must_cover_the_model(default_model, small_dataset, workers):
+    profiles = {1e-5: profile_all(default_model, small_dataset.inputs, 1e-5, 1, 7)}
+    ids = [n.gemm_id for n in default_model.nodes]
+    common = dict(bers=[1e-5], strategies=["opt"], trials=2)
+    for alphas in (AlphaAssignment.uniform(ids[:1], 0.25), AlphaAssignment.uniform(ids + ["nope"], 0.25)):
+        with pytest.raises(ConfigError, match="abft.alphas"):
+            run_campaign(make_config(alphas=alphas, profiles=profiles, **common), workers=workers)
+    short = {1e-5: {gid: p for gid, p in profiles[1e-5].items() if gid != "classifier"}}
+    with pytest.raises(ConfigError, match="classifier"):
+        run_campaign(make_config(alphas=0.25, profiles=short, **common), workers=workers)
 
 
 def test_config_from_dict_and_validation():

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from ftgemm.cli import main
+from ftgemm.thresholds import AlphaAssignment
+from ftgemm.workload import ModelConfig, build_model
 
 
 @pytest.fixture()
@@ -69,6 +71,44 @@ def test_run_override_is_validated(config_path, capsys):
     # opt needs abft.alphas and abft.profiles, which this config lacks
     assert main(["run", "--config", str(config_path), "--strategy", "opt"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def search_argv(config_path, tmp_path):
+    raw = json.loads(config_path.read_text())
+    raw["search"]["order"] = "inorder"
+    profile = {"msd_min": 0.0, "msd_max": 1.0, "rcsd_min": 0.0, "rcsd_max": 1.0, "sample_count": 1}
+    model = build_model(ModelConfig(**raw["model"]))
+    raw["abft"]["profiles"] = {"1e-05": {n.gemm_id: profile for n in model.nodes}}
+    config_path.write_text(json.dumps(raw))
+    return ["search", "--config", str(config_path), "--mode", "gemmwise",
+            "--out", str(tmp_path / "alphas.json")]
+
+
+def test_search_order_from_config_unless_overridden(search_argv, monkeypatch):
+    seen = []
+
+    def fake_search(model, dataset, cfg, profiles, base_seed):
+        seen.append(cfg.order)
+        return AlphaAssignment({})
+
+    monkeypatch.setattr("ftgemm.cli.greedy_gemmwise_search", fake_search)
+    assert main(search_argv) == 0
+    assert main(search_argv + ["--order", "ascending"]) == 0
+    assert seen == ["inorder", "ascending_size"]
+
+
+def test_search_override_is_validated(search_argv, capsys):
+    assert main(search_argv + ["--budget", "2.0"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_search_profiles_must_cover_the_model(search_argv, config_path, capsys):
+    raw = json.loads(config_path.read_text())
+    del raw["abft"]["profiles"]["1e-05"]["classifier"]
+    config_path.write_text(json.dumps(raw))
+    assert main(search_argv) == 1
+    assert "classifier" in capsys.readouterr().err
 
 
 def test_exit_code_runtime_error(config_path, tmp_path, capsys):

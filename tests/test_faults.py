@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import inject_single
 from ftgemm.faults import (
     FaultConfig,
     FaultRecord,
     RngStream,
     faulty_gemm,
-    inject_single,
 )
 from ftgemm.tensor_core import OpCounter, gemm
 

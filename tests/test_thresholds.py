@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ftgemm.thresholds import (
     bisect_max_feasible,
     greedy_gemmwise_search,
     profile_all,
+    sample_deviations,
     thresholds_from_assignment,
 )
 
@@ -87,6 +90,16 @@ class TestProfiles:
     def test_faulty_profile_has_spread(self, default_model, small_dataset):
         profs = profile_all(default_model, small_dataset.inputs, 1e-5, 20, seed=3)
         assert any(p.msd_max > p.msd_min for p in profs.values())
+
+    def test_profiles_reduce_the_samples(self, default_model, small_dataset):
+        samples = list(sample_deviations(default_model, small_dataset.inputs, 1e-5, 4, seed=2))
+        assert len(samples) == 4 * len(default_model.nodes)
+        profiles = profile_all(default_model, small_dataset.inputs, 1e-5, 4, seed=2)
+        for gid, p in profiles.items():
+            msds = [msd for node, msd, _, _ in samples if node.gemm_id == gid and math.isfinite(msd)]
+            assert (p.msd_min, p.msd_max) == (min(msds), max(msds))
+        with pytest.raises(ValueError):
+            next(sample_deviations(default_model, small_dataset.inputs, 1e-5, 0, seed=2))
 
     def test_validation(self):
         with pytest.raises(ValueError):
