@@ -56,14 +56,18 @@ def strategy_from_name(name: str) -> AbftStrategy | None:
         ) from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdSet:
     """Calibrated approximation thresholds; the float32 round-off floor is
-    applied on top of these at every comparison."""
+    applied on top of these at every comparison, so ThresholdSet() is the
+    strict (classical ABFT) setting."""
 
     detect_threshold: float = 0.0
     row_threshold: float = 0.0
     col_threshold: float = 0.0
+
+
+STRICT = ThresholdSet()
 
 
 @dataclass
@@ -123,14 +127,13 @@ def precompute_checksums(A, B, counter: OpCounter | None = None) -> Checksums:
 def detect(
     C,
     checksums: Checksums,
-    thresholds: ThresholdSet | None = None,
+    thresholds: ThresholdSet = STRICT,
     counter: OpCounter | None = None,
 ) -> DetectionReport:
     C = as_matrix(C)
     actual = float(C.sum(dtype=np.float64))
     msd = abs(checksums.predicted_total - actual)
-    calibrated = thresholds.detect_threshold if thresholds is not None else 0.0
-    threshold = max(calibrated, fp_floor(checksums.total_scale))
+    threshold = max(thresholds.detect_threshold, fp_floor(checksums.total_scale))
     triggered = (not math.isfinite(msd)) or msd > threshold
     if counter is not None:
         counter.abft_adds += C.size - 1
@@ -143,7 +146,8 @@ def compute_sum_profiles(
     B,
     C,
     counter: OpCounter | None = None,
-    checksums: Checksums | None = None,
+    *,
+    checksums: Checksums,
 ) -> SumProfiles:
     A = as_matrix(A)
     B = as_matrix(B)
@@ -152,8 +156,6 @@ def compute_sum_profiles(
     n = B.shape[1]
     if C.shape != (m, n):
         raise ShapeError(f"output shape {C.shape} inconsistent with {A.shape} x {B.shape}")
-    if checksums is None:
-        checksums = precompute_checksums(A, B)
     predicted_row = A.astype(np.float64) @ checksums.b_rowsum
     predicted_col = checksums.a_colsum @ B.astype(np.float64)
     row_scale = np.abs(A).astype(np.float64) @ np.abs(checksums.b_rowsum)
@@ -181,14 +183,11 @@ def _deviation_floors(scale: np.ndarray) -> np.ndarray:
 
 def localize(
     profiles: SumProfiles,
-    thresholds: ThresholdSet | None = None,
+    thresholds: ThresholdSet = STRICT,
     counter: OpCounter | None = None,
 ) -> Localization:
-    row_thr = _deviation_floors(profiles.row_scale)
-    col_thr = _deviation_floors(profiles.col_scale)
-    if thresholds is not None:
-        row_thr = np.maximum(thresholds.row_threshold, row_thr)
-        col_thr = np.maximum(thresholds.col_threshold, col_thr)
+    row_thr = np.maximum(thresholds.row_threshold, _deviation_floors(profiles.row_scale))
+    col_thr = np.maximum(thresholds.col_threshold, _deviation_floors(profiles.col_scale))
     bad_rows = (~np.isfinite(profiles.rsd)) | (np.abs(profiles.rsd) > row_thr)
     bad_cols = (~np.isfinite(profiles.csd)) | (np.abs(profiles.csd) > col_thr)
     if counter is not None:
@@ -280,7 +279,7 @@ def protect_gemm(
     B,
     cfg: FaultConfig,
     strategy: AbftStrategy,
-    thresholds: ThresholdSet | None,
+    thresholds: ThresholdSet,
     stream: RngStream,
     counter: OpCounter | None = None,
     record: FaultRecord | None = None,
@@ -293,11 +292,11 @@ def protect_gemm(
     """
     checksums = precompute_checksums(A, B, counter)
     C = faulty_gemm(A, B, cfg, stream, counter, record=record)
-    det = detect(C, checksums, thresholds if strategy.detection == "AED" else None, counter)
+    det = detect(C, checksums, thresholds if strategy.detection == "AED" else STRICT, counter)
     report = CorrectionReport()
     if det.triggered:
         profiles = compute_sum_profiles(A, B, C, counter, checksums=checksums)
-        loc = localize(profiles, thresholds if strategy.localization == "AEL" else None, counter)
+        loc = localize(profiles, thresholds if strategy.localization == "AEL" else STRICT, counter)
         C, residual = correct_exact(C, loc, profiles)
         report.exact_corrected = len(loc.candidates) - len(residual)
         if counter is not None:

@@ -69,6 +69,10 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.bers:
             raise ConfigError("faults.bers must be a nonempty list")
+        if not all(0.0 <= ber <= 1.0 for ber in self.bers):
+            raise ConfigError(f"faults.bers must lie in [0, 1], got {self.bers}")
+        if self.n_samples < 1:
+            raise ConfigError("dataset.n_samples must be >= 1")
         if not self.strategies:
             raise ConfigError("abft.strategies must be a nonempty list")
         if self.trials < 1:
@@ -78,6 +82,10 @@ class CampaignConfig:
                 strategy_from_name(name)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+        if isinstance(self.alphas, (int, float)) and not 0.0 <= self.alphas <= 1.0:
+            raise ConfigError(f"a global abft.alphas must lie in [0, 1], got {self.alphas!r}")
+        if self.output_format not in ("csv", "json"):
+            raise ConfigError(f"output.format must be csv or json, got {self.output_format!r}")
         needs_thresholds = [s for s in self.strategies if s in _APPROX_STRATEGIES]
         if needs_thresholds:
             if self.alphas is None:
@@ -98,55 +106,42 @@ def _require(section: dict, key: str, where: str):
 
 
 def config_from_dict(raw: dict) -> CampaignConfig:
-    """Build a CampaignConfig from the JSON config-file structure."""
+    """Build a CampaignConfig from the JSON config-file structure; any
+    mistake in it is a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    model_sec = raw.get("model", {})
-    _require(model_sec, "weight_seed", "model")
     try:
-        model = ModelConfig(**model_sec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model section: {exc}") from None
-    data_sec = raw.get("dataset", {})
-    faults_sec = raw.get("faults", {})
-    abft_sec = raw.get("abft", {})
-    search_sec = raw.get("search", {})
-    out_sec = raw.get("output", {})
-
-    profiles = None
-    if abft_sec.get("profiles") is not None:
-        profiles = profiles_from_dict(abft_sec["profiles"])
-    alphas = abft_sec.get("alphas")
-    if isinstance(alphas, dict):
-        alphas = AlphaAssignment.from_dict(alphas)
-    elif alphas is not None:
-        alphas = float(alphas)
-    scope = faults_sec.get("scope")
-    if scope is not None:
-        scope = frozenset(scope)
-    try:
-        search = SearchConfig(**search_sec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad search section: {exc}") from None
-    try:
+        model_sec = raw.get("model", {})
+        _require(model_sec, "weight_seed", "model")
+        data_sec = raw.get("dataset", {})
+        faults_sec = raw.get("faults", {})
+        abft_sec = raw.get("abft", {})
+        out_sec = raw.get("output", {})
+        profiles = abft_sec.get("profiles")
+        alphas = abft_sec.get("alphas")
+        if isinstance(alphas, dict):
+            alphas = AlphaAssignment.from_dict(alphas)
+        elif alphas is not None:
+            alphas = float(alphas)
+        scope = faults_sec.get("scope")
         return CampaignConfig(
-            model=model,
+            model=ModelConfig(**model_sec),
             n_samples=int(data_sec.get("n_samples", 100)),
             data_seed=int(_require(data_sec, "data_seed", "dataset")),
             bers=[float(b) for b in _require(faults_sec, "bers", "faults")],
             strategies=list(_require(abft_sec, "strategies", "abft")),
             trials=int(faults_sec.get("trials", 1)),
             base_seed=int(_require(faults_sec, "base_seed", "faults")),
-            scope=scope,
-            profiles=profiles,
+            scope=None if scope is None else frozenset(scope),
+            profiles=None if profiles is None else profiles_from_dict(profiles),
             alphas=alphas,
-            search=search,
+            search=SearchConfig(**raw.get("search", {})),
             output_path=out_sec.get("results", "results.csv"),
             output_format=out_sec.get("format", "csv"),
         )
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from None
 
 
@@ -209,13 +204,21 @@ def _thresholds(config: CampaignConfig, model: Model) -> dict[float, dict[str, T
     elif assignment.alphas.keys() != gemm_ids:
         wrong = sorted(gemm_ids ^ assignment.alphas.keys())
         raise ConfigError(f"abft.alphas must name exactly the model's GEMMs; missing or unknown: {wrong}")
-    profiles = config.profiles or {}
-    for ber in thresholds.keys() & profiles.keys():
-        missing = sorted(gemm_ids - profiles[ber].keys())
-        if missing:
-            raise ConfigError(f"profiles for ber={ber!r} miss GEMMs {missing}")
-        thresholds[ber] = thresholds_from_assignment(profiles[ber], assignment)
+    for ber in thresholds.keys() & (config.profiles or {}).keys():
+        thresholds[ber] = thresholds_from_assignment(profiles_at(config, model, ber), assignment)
     return thresholds
+
+
+def profiles_at(config: CampaignConfig, model: Model, ber: float) -> dict[str, DeviationProfile]:
+    """The config's deviation profiles at `ber`; ConfigError unless there
+    are some and they cover every GEMM of the model."""
+    profiles = (config.profiles or {}).get(ber)
+    if profiles is None:
+        raise ConfigError(f"no deviation profiles for ber={ber!r}")
+    missing = sorted(model.node_by_id.keys() - profiles.keys())
+    if missing:
+        raise ConfigError(f"profiles for ber={ber!r} miss GEMMs {missing}")
+    return profiles
 
 
 def _build_context(config: CampaignConfig) -> _Context:
@@ -233,15 +236,7 @@ def _run_point(ctx: _Context, ber: float, strategy_name: str, trial: int) -> dic
         cfg = None  # unprotected, fault-free: plain clean run
     else:
         cfg = FaultConfig(ber=ber, seed=config.base_seed, scope=config.scope)
-    stats = evaluate(
-        ctx.model,
-        ctx.dataset,
-        cfg,
-        strategy,
-        ctx.thresholds.get(ber) if strategy is not None else None,
-        counter,
-        trial=trial,
-    )
+    stats = evaluate(ctx.model, ctx.dataset, cfg, strategy, ctx.thresholds[ber], counter, trial=trial)
     values = dict(vars(counter), **vars(stats), ber=ber, strategy=strategy_name, trial=trial)
     return {k: values[k] for k in RESULT_FIELDS}
 
@@ -249,9 +244,9 @@ def _run_point(ctx: _Context, ber: float, strategy_name: str, trial: int) -> dic
 _WORKER_CTX: _Context | None = None
 
 
-def _init_worker(config: CampaignConfig):
+def _init_worker(ctx: _Context):
     global _WORKER_CTX
-    _WORKER_CTX = _build_context(config)
+    _WORKER_CTX = ctx
 
 
 def _worker_run(task):
@@ -273,14 +268,13 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> list[dict]:
         for t in range(config.trials)
     ]
     workers = min(workers, len(tasks))
+    ctx = _build_context(config)  # a ConfigError here, not a broken pool
     if workers > 1:
-        _thresholds(config, build_model(config.model))  # a ConfigError here, not a broken pool
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(config,)
+            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
             rows = list(pool.map(_worker_run, tasks, chunksize=1))
     else:
-        ctx = _build_context(config)
         rows = [_run_point(ctx, *task) for task in tasks]
     rows.sort(key=lambda r: (r["ber"], r["strategy"], r["trial"]))
     return rows
@@ -325,7 +319,7 @@ def select_gemms(model: Model, selector) -> list[str]:
     ids = list(selector)
     for gid in ids:
         if gid not in model.node_by_id:
-            raise KeyError(f"unknown gemm_id {gid!r}")
+            raise ConfigError(f"unknown gemm_id {gid!r}")
     return ids
 
 

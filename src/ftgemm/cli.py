@@ -45,9 +45,6 @@ def cmd_profile(args) -> int:
 
 def cmd_search(args) -> int:
     config, model = _ctx(args.config)
-    if config.profiles is None:
-        raise ConfigError("search needs abft.profiles in the config")
-    dataset = generate_dataset(model, config.n_samples, config.data_seed)
     overrides = {}
     if args.budget is not None:
         overrides["accuracy_budget"] = args.budget
@@ -59,12 +56,8 @@ def cmd_search(args) -> int:
         scfg = dataclasses.replace(config.search, **overrides)  # validates the result
     except ValueError as exc:
         raise ConfigError(f"bad search override: {exc}") from None
-    if scfg.ber not in config.profiles:
-        raise ConfigError(f"no profiles for search ber={scfg.ber!r}")
-    profiles = config.profiles[scfg.ber]
-    missing = sorted(model.node_by_id.keys() - profiles.keys())
-    if missing:
-        raise ConfigError(f"profiles for search ber={scfg.ber!r} miss GEMMs {missing}")
+    profiles = camp.profiles_at(config, model, scfg.ber)
+    dataset = generate_dataset(model, config.n_samples, config.data_seed)
     if args.mode == "global":
         alpha, feasible = binary_search_global_alpha(
             model, dataset, scfg, profiles, config.base_seed

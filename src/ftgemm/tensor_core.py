@@ -80,12 +80,11 @@ def gelu(X) -> np.ndarray:
     return (np.float32(0.5) * X * (np.float32(1.0) + np.tanh(inner))).astype(np.float32)
 
 
-def layernorm_rows(X, scale, shift, eps: float = 1e-6) -> np.ndarray:
+def layernorm_rows(X) -> np.ndarray:
     X = as_matrix(X)
-    scale = np.asarray(scale, dtype=np.float32)
-    shift = np.asarray(shift, dtype=np.float32)
     mu = X.mean(axis=1, keepdims=True, dtype=np.float32)
     d = (X - mu).astype(np.float32)
     var = (d * d).mean(axis=1, keepdims=True, dtype=np.float32)
-    y = d / np.sqrt(var + np.float32(eps))
-    return (y * scale + shift).astype(np.float32)
+    # + 0.0 turns -0.0 into +0.0, and a bit flip in a product of -0.0
+    # gives a different value than one in a product of +0.0.
+    return (d / np.sqrt(var + np.float32(1e-6)) + np.float32(0.0)).astype(np.float32)

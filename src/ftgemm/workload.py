@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abft import AbftStrategy, ThresholdSet, protect_gemm
+from .abft import STRICT, AbftStrategy, ThresholdSet, protect_gemm
 from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
 from .tensor_core import GemmShape, OpCounter, gelu, gemm, layernorm_rows, softmax_rows
 
@@ -47,12 +47,11 @@ class GemmNode:
 
 
 class Model:
-    def __init__(self, cfg: ModelConfig, nodes, weights, ln_params):
+    def __init__(self, cfg: ModelConfig, nodes, weights):
         self.cfg = cfg
         self.nodes = list(nodes)  # topological order
         self.node_by_id = {n.gemm_id: n for n in self.nodes}
         self.weights = weights  # gemm_id -> float32 weight matrix
-        self.ln_params = ln_params  # (layer, which) -> (scale, shift)
 
     def node_table(self):
         return [(n.gemm_id, n.shape.m, n.shape.k, n.shape.n) for n in self.nodes]
@@ -71,13 +70,7 @@ def build_model(cfg: ModelConfig) -> Model:
 
     nodes: list[GemmNode] = []
     weights: dict[str, np.ndarray] = {}
-    ln_params: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for layer in range(cfg.num_layers):
-        for which in (0, 1):
-            ln_params[(layer, which)] = (
-                np.ones(d, dtype=np.float32),
-                np.zeros(d, dtype=np.float32),
-            )
         for name in ("q", "k", "v"):
             nid = f"layer{layer}.attn.{name}"
             nodes.append(GemmNode(nid, GemmShape(s, d, d)))
@@ -96,7 +89,7 @@ def build_model(cfg: ModelConfig) -> Model:
         weights[nid] = draw(ff, d)
     nodes.append(GemmNode("classifier", GemmShape(1, d, cfg.num_classes)))
     weights["classifier"] = draw(d, cfg.num_classes)
-    return Model(cfg, nodes, weights, ln_params)
+    return Model(cfg, nodes, weights)
 
 
 def forward(
@@ -113,8 +106,10 @@ def forward(
     """One forward pass; returns (logits vector, {gemm_id: (det, corr)}).
 
     cfg is None: clean run. strategy is None: faults without protection.
-    Otherwise every GEMM node runs through protect_gemm. `observer`, when
-    given, is called as observer(node, A, B, C, record) after each node.
+    Otherwise every GEMM node runs through protect_gemm with
+    thresholds[gemm_id] (strict for every node when thresholds is None).
+    `observer`, when given, is called as observer(node, A, B, C, record)
+    after each node.
     """
     mc = model.cfg
     X = np.asarray(X, dtype=np.float32)
@@ -133,7 +128,7 @@ def forward(
             if strategy is None:
                 C = faulty_gemm(A, B, node_cfg, stream, counter, record=rec)
             else:
-                ts = thresholds.get(node.gemm_id) if thresholds else None
+                ts = STRICT if thresholds is None else thresholds[node.gemm_id]
                 C, det, corr = protect_gemm(
                     A, B, node_cfg, strategy, ts, stream, counter, record=rec
                 )
@@ -153,8 +148,7 @@ def forward(
 def _forward_body(model: Model, x, run, inv_sqrt_hd):
     mc = model.cfg
     for layer in range(mc.num_layers):
-        scale1, shift1 = model.ln_params[(layer, 0)]
-        h = layernorm_rows(x, scale1, shift1)
+        h = layernorm_rows(x)
         Q = run(model.node_by_id[f"layer{layer}.attn.q"], h, model.weights[f"layer{layer}.attn.q"])
         K = run(model.node_by_id[f"layer{layer}.attn.k"], h, model.weights[f"layer{layer}.attn.k"])
         V = run(model.node_by_id[f"layer{layer}.attn.v"], h, model.weights[f"layer{layer}.attn.v"])
@@ -170,8 +164,7 @@ def _forward_body(model: Model, x, run, inv_sqrt_hd):
         O = np.concatenate(head_outs, axis=1)
         attn = run(model.node_by_id[f"layer{layer}.attn.out"], O, model.weights[f"layer{layer}.attn.out"])
         x = (x + attn).astype(np.float32)
-        scale2, shift2 = model.ln_params[(layer, 1)]
-        h2 = layernorm_rows(x, scale2, shift2)
+        h2 = layernorm_rows(x)
         F1 = run(model.node_by_id[f"layer{layer}.ff.in"], h2, model.weights[f"layer{layer}.ff.in"])
         G = gelu(F1)
         F2 = run(model.node_by_id[f"layer{layer}.ff.out"], G, model.weights[f"layer{layer}.ff.out"])

@@ -19,7 +19,7 @@ from ftgemm.faults import FaultConfig, RngStream
 from ftgemm.tensor_core import OpCounter, gemm
 
 
-def _pipeline(A, B, C, thresholds=None, counter=None):
+def _pipeline(A, B, C, thresholds=ThresholdSet(), counter=None):
     ck = precompute_checksums(A, B, counter)
     det = detect(C, ck, thresholds, counter)
     prof = compute_sum_profiles(A, B, C, counter, checksums=ck)
@@ -83,14 +83,16 @@ class TestDetect:
         A, B, C = small_product
         ck = precompute_checksums(A, B)
         c = OpCounter()
-        detect(C, ck, None, c)
+        detect(C, ck, counter=c)
         assert c.abft_adds == 3 and c.abft_comparisons == 1
 
 
 class TestSumProfiles:
     def test_2x2_fault_example(self, small_product):
         A, B, C = small_product
-        prof = compute_sum_profiles(A, B, inject_single(C, 0, 1, 8.0))
+        prof = compute_sum_profiles(
+            A, B, inject_single(C, 0, 1, 8.0), checksums=precompute_checksums(A, B)
+        )
         np.testing.assert_allclose(prof.rsd, [-8, 0], atol=1e-6)
         np.testing.assert_allclose(prof.csd, [0, -8], atol=1e-6)
 
@@ -98,7 +100,7 @@ class TestSumProfiles:
         rng = np.random.default_rng(1)
         A = rng.uniform(-1, 1, (12, 9)).astype(np.float32)
         B = rng.uniform(-1, 1, (9, 11)).astype(np.float32)
-        prof = compute_sum_profiles(A, B, gemm(A, B))
+        prof = compute_sum_profiles(A, B, gemm(A, B), checksums=precompute_checksums(A, B))
         assert (np.abs(prof.rsd) <= 1e-4 * np.maximum(1, prof.row_scale)).all()
         assert (np.abs(prof.csd) <= 1e-4 * np.maximum(1, prof.col_scale)).all()
 
@@ -106,7 +108,7 @@ class TestSumProfiles:
         n = 8
         X = np.ones((n, n), np.float32)
         c = OpCounter()
-        compute_sum_profiles(X, X, gemm(X, X), c)
+        compute_sum_profiles(X, X, gemm(X, X), c, checksums=precompute_checksums(X, X))
         assert c.abft_mults == 2 * n * n
 
     def test_conservation(self):
@@ -156,8 +158,8 @@ class TestLocalize:
     def test_comparison_count(self, small_product):
         A, B, C = small_product
         c = OpCounter()
-        prof = compute_sum_profiles(A, B, C)
-        localize(prof, None, c)
+        prof = compute_sum_profiles(A, B, C, checksums=precompute_checksums(A, B))
+        localize(prof, counter=c)
         assert c.abft_comparisons == 4
 
 
@@ -209,8 +211,8 @@ class TestCorrectExact:
 
 class TestCorrectApprox:
     def test_empty_residual_unchanged(self, small_product):
-        _, _, C = small_product
-        prof = compute_sum_profiles(*_args(small_product))
+        A, B, C = small_product
+        prof = compute_sum_profiles(A, B, C, checksums=precompute_checksums(A, B))
         np.testing.assert_array_equal(correct_approx(C, [], prof, "zero"), C)
 
     def test_zero_mode_surgical(self):
@@ -234,7 +236,7 @@ class TestCorrectApprox:
         A, B, C = small_product
         faulty = inject_single(C, 0, 0, 4.0)
         faulty = inject_single(faulty, 0, 1, 4.0)
-        prof = compute_sum_profiles(A, B, faulty)
+        prof = compute_sum_profiles(A, B, faulty, checksums=precompute_checksums(A, B))
         assert prof.rsd[0] == pytest.approx(-8.0, abs=1e-5)
         out = correct_approx(faulty, [(0, 0), (0, 1)], prof, "average")
         assert out[0, 0] == pytest.approx(faulty[0, 0] - 4.0, abs=1e-4)
@@ -242,14 +244,9 @@ class TestCorrectApprox:
 
     def test_unknown_mode(self, small_product):
         A, B, C = small_product
-        prof = compute_sum_profiles(A, B, C)
+        prof = compute_sum_profiles(A, B, C, checksums=precompute_checksums(A, B))
         with pytest.raises(ValueError):
             correct_approx(C, [], prof, "median")
-
-
-def _args(small_product):
-    A, B, C = small_product
-    return A, B, C
 
 
 class TestProtectGemm:
@@ -260,7 +257,7 @@ class TestProtectGemm:
         B = rng.uniform(-1, 1, (n, n)).astype(np.float32)
         c = OpCounter()
         C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 1), strategy_from_name("baseline"), None,
+            A, B, FaultConfig(0.0, 1), strategy_from_name("baseline"), ThresholdSet(),
             RngStream(1), c,
         )
         assert not det.triggered
@@ -276,7 +273,7 @@ class TestProtectGemm:
         c = OpCounter()
         tamper_faulty_gemm(monkeypatch, lambda M: inject_single(M, 3, 5, 40.0))
         C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 2), strategy_from_name("baseline"), None,
+            A, B, FaultConfig(0.0, 2), strategy_from_name("baseline"), ThresholdSet(),
             RngStream(2), c,
         )
         assert det.triggered
@@ -296,7 +293,7 @@ class TestProtectGemm:
 
         tamper_faulty_gemm(monkeypatch, tamper)
         C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 3), strategy_from_name("opt"), None, RngStream(3),
+            A, B, FaultConfig(0.0, 3), strategy_from_name("opt"), ThresholdSet(), RngStream(3),
         )
         assert rep.exact_corrected == 0 and rep.approx_corrected == 4
         assert rep.ignored == 0
@@ -315,7 +312,7 @@ class TestProtectGemm:
 
         tamper_faulty_gemm(monkeypatch, tamper)
         C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 4), strategy_from_name("baseline"), None, RngStream(4),
+            A, B, FaultConfig(0.0, 4), strategy_from_name("baseline"), ThresholdSet(), RngStream(4),
         )
         assert rep.ignored == 4 and rep.approx_corrected == 0
 

@@ -124,13 +124,13 @@ def test_cost_model_exactness(monkeypatch):
         strat = strategy_from_name("baseline")
 
         quiet = OpCounter()
-        _, det, _ = protect_gemm(A, B, cfg, strat, None, RngStream(1, "c1", n), quiet)
+        _, det, _ = protect_gemm(A, B, cfg, strat, ThresholdSet(), RngStream(1, "c1", n), quiet)
         ok &= not det.triggered and quiet.abft_mults == n
 
         loud = OpCounter()
         with monkeypatch.context() as mp:
             tamper_faulty_gemm(mp, lambda C: inject_single(C, 0, 0, 1e6))
-            _, det, _ = protect_gemm(A, B, cfg, strat, None, RngStream(1, "c1", n), loud)
+            _, det, _ = protect_gemm(A, B, cfg, strat, ThresholdSet(), RngStream(1, "c1", n), loud)
         ok &= det.triggered and loud.abft_mults == n + 2 * n * n
     elapsed = time.time() - t0
     _verdict(1, ok and elapsed < 1.0, f"n+2n^2 integer equalities, {elapsed:.2f}s")
@@ -243,7 +243,7 @@ def test_l_shape_pattern_zeroed(monkeypatch):
 
     tamper_faulty_gemm(monkeypatch, tamper)
     _, det, report = protect_gemm(
-        A, B, FaultConfig(0.0, 1), strategy_from_name("opt"), None, RngStream(1, "c4"),
+        A, B, FaultConfig(0.0, 1), strategy_from_name("opt"), ThresholdSet(), RngStream(1, "c4"),
     )
     ok &= det.triggered and report.exact_corrected == 0 and report.approx_corrected == 4
     _verdict(4, ok, "4 candidate cells zeroed, 0 exact corrections")
@@ -260,7 +260,7 @@ def test_no_false_positives():
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
         A = (scale * rng.uniform(-1, 1, (m, k))).astype(np.float32)
         B = rng.uniform(-1, 1, (k, n)).astype(np.float32)
-        _, det, _ = protect_gemm(A, B, cfg, strat, None, RngStream(5, "c5", i))
+        _, det, _ = protect_gemm(A, B, cfg, strat, ThresholdSet(), RngStream(5, "c5", i))
         triggered += det.triggered
     elapsed = time.time() - t0
     _verdict(

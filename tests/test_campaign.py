@@ -16,7 +16,7 @@ from ftgemm.campaign import (
     select_gemms,
 )
 from ftgemm.thresholds import AlphaAssignment, profile_all
-from ftgemm.workload import ModelConfig
+from ftgemm.workload import ModelConfig, build_model
 
 
 def make_config(**overrides):
@@ -95,14 +95,15 @@ def test_workers_below_one_rejected():
         run_campaign(make_config(), workers=0)
 
 
-def test_pool_capped_at_task_count(monkeypatch):
-    seen = []
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Swap the process pool for one that runs its initializer and tasks in
+    this process; returns the list of pool sizes asked for."""
+    sizes = []
 
     class InlinePool:
-        """Runs the pool's initializer and tasks in this process."""
-
         def __init__(self, max_workers, initializer, initargs):
-            seen.append(max_workers)
+            sizes.append(max_workers)
             initializer(*initargs)
 
         def __enter__(self):
@@ -115,10 +116,26 @@ def test_pool_capped_at_task_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr("ftgemm.campaign.ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_pool_capped_at_task_count(pool_sizes):
     config = make_config(bers=[0.0], strategies=["none"], trials=2)
     rows = run_campaign(config, workers=8)
-    assert seen == [2]
+    assert pool_sizes == [2]
     assert rows == run_campaign(config, workers=1)
+
+
+def test_pool_workers_share_the_parent_context(pool_sizes, monkeypatch):
+    built = []
+
+    def counting_build_model(cfg):
+        built.append(cfg)
+        return build_model(cfg)
+
+    monkeypatch.setattr("ftgemm.campaign.build_model", counting_build_model)
+    run_campaign(make_config(bers=[0.0], strategies=["none"], trials=2), workers=2)
+    assert pool_sizes == [2] and len(built) == 1
 
 
 def test_emit_csv_roundtrip(tmp_path, basic_rows):
@@ -223,7 +240,7 @@ class TestStats:
         assert "classifier" in ids
         assert any(gid.endswith("ff.in") for gid in ids)
         assert select_gemms(default_model, ["classifier"]) == ["classifier"]
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             select_gemms(default_model, ["nope"])
 
     def test_single_error_not_multi(self, default_model, small_dataset):

@@ -111,6 +111,34 @@ def test_search_profiles_must_cover_the_model(search_argv, config_path, capsys):
     assert "classifier" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("faults", "bers", [1.5]),
+    ("faults", "bers", [-1e-6]),
+    ("abft", "alphas", 1.5),
+    ("abft", "alphas", {"g": [2, 0]}),
+    ("abft", "alphas", "abc"),
+    ("abft", "profiles", {"1e-05": {"classifier": {
+        "msd_min": 2.0, "msd_max": 1.0, "rcsd_min": 0.0, "rcsd_max": 1.0, "sample_count": 1}}}),
+    ("dataset", "n_samples", 0),
+    ("faults", "scope", 5),
+    ("output", "format", "xml"),
+], ids=["ber-1.5", "ber-negative", "alpha-1.5", "alpha-pair-2", "alpha-abc",
+        "profile-min-above-max", "n_samples-0", "scope-5", "format-xml"])
+def test_config_mistakes_exit_1_before_any_forward(config_path, tmp_path, capsys, section, key, value):
+    raw = json.loads(config_path.read_text())
+    raw[section][key] = value
+    config_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_stats_unknown_gemm_is_config_error(config_path, tmp_path, capsys):
+    assert main(["stats", "--config", str(config_path), "--trials", "1",
+                 "--gemms", "nope", "--out", str(tmp_path / "stats.json")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_exit_code_runtime_error(config_path, tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
     assert main(["stats", "--config", str(config_path), "--trials", "1",

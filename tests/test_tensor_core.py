@@ -80,9 +80,16 @@ def test_gelu_zero():
 
 def test_layernorm_row_stats():
     row = np.array([[1.0, 2.0, 3.0]], np.float32)
-    out = layernorm_rows(row, np.ones(3, np.float32), np.zeros(3, np.float32))
+    out = layernorm_rows(row)
     assert abs(out.mean()) < 1e-5
     assert abs(out.var() - 1.0) < 1e-5
+
+
+def test_layernorm_turns_negative_zero_positive():
+    # column 0 is -7.5e29 / inf = -0.0 before the final + 0.0
+    with np.errstate(over="ignore"):
+        out = layernorm_rows(np.array([[-1.0, 1e30, 1e30, 1e30]], np.float32))
+    assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
 
 
 def test_activation_nan_propagates():

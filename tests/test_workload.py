@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ftgemm.faults import FaultConfig
-from ftgemm.abft import strategy_from_name
+from ftgemm.abft import ThresholdSet, strategy_from_name
 from ftgemm.tensor_core import OpCounter
 from ftgemm.workload import (
     ModelConfig,
@@ -129,6 +129,13 @@ def test_accuracy_monotone_in_protection(default_model, small_dataset):
         for t in range(5)
     ])
     assert acc_opt >= acc_none
+
+
+def test_thresholds_missing_a_gemm_raise(default_model, small_dataset):
+    # a thresholds dict must name every GEMM; None alone means strict everywhere
+    with pytest.raises(KeyError):
+        evaluate(default_model, small_dataset, FaultConfig(1e-5, 55), strategy_from_name("opt"),
+                 {"classifier": ThresholdSet()})
 
 
 def test_input_shape_check(default_model):
