@@ -23,8 +23,9 @@ from .tensor_core import OpCounter, ShapeError, as_matrix
 REL_EPS = 1e-4
 
 
-def fp_floor(scale: float) -> float:
-    return REL_EPS * max(1.0, abs(float(scale)))
+def fp_floor(scale):
+    """REL_EPS * max(1, |scale|), elementwise for an array of scales."""
+    return REL_EPS * np.maximum(1.0, np.abs(scale))
 
 
 @dataclass(frozen=True)
@@ -107,54 +108,32 @@ class CorrectionReport:
     ignored: int = 0
 
 
-def precompute_checksums(A, B, counter: OpCounter | None = None) -> Checksums:
+def precompute_checksums(A, B) -> Checksums:
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape[1] != B.shape[0]:
         raise ShapeError(f"checksum shape mismatch: {A.shape} x {B.shape}")
-    m, k = A.shape
-    n = B.shape[1]
     a_colsum = A.sum(axis=0, dtype=np.float64)
     b_rowsum = B.sum(axis=1, dtype=np.float64)
     predicted_total = float(a_colsum @ b_rowsum)
     total_scale = float(np.abs(a_colsum) @ np.abs(b_rowsum))
-    if counter is not None:
-        counter.abft_mults += k
-        counter.abft_adds += (m - 1) * k + (n - 1) * k + (k - 1)
     return Checksums(a_colsum, b_rowsum, predicted_total, total_scale)
 
 
-def detect(
-    C,
-    checksums: Checksums,
-    thresholds: ThresholdSet = STRICT,
-    counter: OpCounter | None = None,
-) -> DetectionReport:
+def detect(C, checksums: Checksums, thresholds: ThresholdSet = STRICT) -> DetectionReport:
     C = as_matrix(C)
     actual = float(C.sum(dtype=np.float64))
     msd = abs(checksums.predicted_total - actual)
     threshold = max(thresholds.detect_threshold, fp_floor(checksums.total_scale))
     triggered = (not math.isfinite(msd)) or msd > threshold
-    if counter is not None:
-        counter.abft_adds += C.size - 1
-        counter.abft_comparisons += 1
     return DetectionReport(msd=msd, threshold=threshold, triggered=triggered)
 
 
-def compute_sum_profiles(
-    A,
-    B,
-    C,
-    counter: OpCounter | None = None,
-    *,
-    checksums: Checksums,
-) -> SumProfiles:
+def compute_sum_profiles(A, B, C, *, checksums: Checksums) -> SumProfiles:
     A = as_matrix(A)
     B = as_matrix(B)
     C = as_matrix(C)
-    m, k = A.shape
-    n = B.shape[1]
-    if C.shape != (m, n):
+    if C.shape != (A.shape[0], B.shape[1]):
         raise ShapeError(f"output shape {C.shape} inconsistent with {A.shape} x {B.shape}")
     predicted_row = A.astype(np.float64) @ checksums.b_rowsum
     predicted_col = checksums.a_colsum @ B.astype(np.float64)
@@ -162,13 +141,6 @@ def compute_sum_profiles(
     col_scale = np.abs(checksums.a_colsum) @ np.abs(B).astype(np.float64)
     actual_row = C.sum(axis=1, dtype=np.float64)
     actual_col = C.sum(axis=0, dtype=np.float64)
-    if counter is not None:
-        counter.abft_mults += m * k + k * n
-        counter.abft_adds += (
-            m * (k - 1) + (k - 1) * n  # the two matrix-vector products
-            + m * (n - 1) + (m - 1) * n  # actual row/column sums
-            + m + n  # deviation subtractions
-        )
     return SumProfiles(
         rsd=predicted_row - actual_row,
         csd=predicted_col - actual_col,
@@ -177,21 +149,11 @@ def compute_sum_profiles(
     )
 
 
-def _deviation_floors(scale: np.ndarray) -> np.ndarray:
-    return REL_EPS * np.maximum(1.0, scale)
-
-
-def localize(
-    profiles: SumProfiles,
-    thresholds: ThresholdSet = STRICT,
-    counter: OpCounter | None = None,
-) -> Localization:
-    row_thr = np.maximum(thresholds.row_threshold, _deviation_floors(profiles.row_scale))
-    col_thr = np.maximum(thresholds.col_threshold, _deviation_floors(profiles.col_scale))
+def localize(profiles: SumProfiles, thresholds: ThresholdSet = STRICT) -> Localization:
+    row_thr = np.maximum(thresholds.row_threshold, fp_floor(profiles.row_scale))
+    col_thr = np.maximum(thresholds.col_threshold, fp_floor(profiles.col_scale))
     bad_rows = (~np.isfinite(profiles.rsd)) | (np.abs(profiles.rsd) > row_thr)
     bad_cols = (~np.isfinite(profiles.csd)) | (np.abs(profiles.csd) > col_thr)
-    if counter is not None:
-        counter.abft_comparisons += profiles.rsd.size + profiles.csd.size
     rows = tuple(int(i) for i in np.flatnonzero(bad_rows))
     cols = tuple(int(j) for j in np.flatnonzero(bad_cols))
     candidates = tuple((r, c) for r in rows for c in cols)
@@ -215,8 +177,8 @@ def correct_exact(C, localization: Localization, profiles: SumProfiles):
     residual: list[tuple[int, int]] = []
     if not rows or not cols:
         return C2, residual
-    row_floor = _deviation_floors(profiles.row_scale)
-    col_floor = _deviation_floors(profiles.col_scale)
+    row_floor = fp_floor(profiles.row_scale)
+    col_floor = fp_floor(profiles.col_scale)
 
     if len(cols) == 1:
         c = cols[0]
@@ -290,23 +252,39 @@ def protect_gemm(
     profiles -> localization -> exact correction -> approximate correction
     (or ignore, per strategy).
     """
-    checksums = precompute_checksums(A, B, counter)
-    C = faulty_gemm(A, B, cfg, stream, counter, record=record)
-    det = detect(C, checksums, thresholds if strategy.detection == "AED" else STRICT, counter)
+    checksums = precompute_checksums(A, B)
+    C = faulty_gemm(A, B, cfg, stream, record=record)
+    det = detect(C, checksums, thresholds if strategy.detection == "AED" else STRICT)
     report = CorrectionReport()
     if det.triggered:
-        profiles = compute_sum_profiles(A, B, C, counter, checksums=checksums)
-        loc = localize(profiles, thresholds if strategy.localization == "AEL" else STRICT, counter)
+        profiles = compute_sum_profiles(A, B, C, checksums=checksums)
+        loc = localize(profiles, thresholds if strategy.localization == "AEL" else STRICT)
         C, residual = correct_exact(C, loc, profiles)
         report.exact_corrected = len(loc.candidates) - len(residual)
-        if counter is not None:
-            counter.abft_adds += report.exact_corrected
         if strategy.correction == "BEC":
             report.ignored = len(residual)
         else:
             mode = "zero" if strategy.correction == "AEC-zero" else "average"
             C = correct_approx(C, residual, profiles, mode)
             report.approx_corrected = len(residual)
-            if counter is not None and mode == "average":
-                counter.abft_adds += len(residual)
+    if counter is not None:
+        # The paper's ABFT operation counts, not numpy's work: the float64
+        # magnitude sums behind the round-off floors are free.
+        m, n = C.shape
+        k = checksums.a_colsum.size
+        counter.abft_mults += k  # checksum dot product
+        counter.abft_adds += (m - 1) * k + (n - 1) * k + (k - 1)  # checksums
+        counter.abft_adds += m * n - 1  # output total
+        counter.abft_comparisons += 1  # detection
+        if det.triggered:
+            counter.abft_mults += m * k + k * n  # A @ b_rowsum, a_colsum @ B
+            counter.abft_adds += (
+                m * (k - 1) + (k - 1) * n  # the two matrix-vector products
+                + m * (n - 1) + (m - 1) * n  # output row/column sums
+                + m + n  # deviation subtractions
+                + report.exact_corrected  # one add per exact fix
+            )
+            if strategy.correction == "AEC-average":
+                counter.abft_adds += report.approx_corrected  # one add per averaged cell
+            counter.abft_comparisons += m + n  # localization
     return C, det, report

@@ -21,6 +21,12 @@ def _ctx(config_path: str):
     return config, model
 
 
+def _trials(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    return args.trials
+
+
 def cmd_gemms(args) -> int:
     _, model = _ctx(args.config)
     print(f"{'gemm_id':<28} {'m':>5} {'k':>5} {'n':>5} {'macs':>9}")
@@ -31,9 +37,10 @@ def cmd_gemms(args) -> int:
 
 def cmd_profile(args) -> int:
     config, model = _ctx(args.config)
+    trials = _trials(args)
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
     profiles = {
-        ber: profile_all(model, dataset.inputs, ber, args.trials, config.base_seed)
+        ber: profile_all(model, dataset.inputs, ber, trials, config.base_seed)
         for ber in config.bers
         if ber > 0
     }
@@ -92,16 +99,13 @@ def cmd_run(args) -> int:
 
 def cmd_stats(args) -> int:
     config, model = _ctx(args.config)
+    trials = _trials(args)
+    ber = args.ber if args.ber is not None else config.bers[0]
+    if not 0.0 <= ber <= 1.0:
+        raise ConfigError(f"--ber must be in [0, 1], got {ber}")
+    selector = camp.select_gemms(model, args.gemms.split(",") if args.gemms else "largest_per_layer")
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
-    selector = args.gemms.split(",") if args.gemms else "largest_per_layer"
-    report = camp.compute_stats(
-        model,
-        dataset.inputs,
-        ber=args.ber if args.ber is not None else config.bers[0],
-        trials=args.trials,
-        seed=config.base_seed,
-        gemm_selector=selector,
-    )
+    report = camp.compute_stats(model, dataset.inputs, ber, trials, config.base_seed, selector)
     payload = report.to_dict()
     if args.kind == "multierror":
         payload.pop("histograms")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_core import OpCounter, ShapeError, as_matrix
+from .tensor_core import ShapeError, as_matrix
 
 _MASK64 = (1 << 64) - 1
 
@@ -45,7 +45,6 @@ class RngStream:
     """Deterministic keyed random stream (Philox counter-based generator)."""
 
     def __init__(self, seed: int, gemm_id: str = "", trial: int = 0, sample: int = 0):
-        self.key = (seed, trial, sample, gemm_id)
         ss = np.random.SeedSequence(
             [seed & _MASK64, trial & _MASK64, sample & _MASK64, _id_hash(gemm_id)]
         )
@@ -79,7 +78,7 @@ def faulty_gemm(
     B,
     cfg: FaultConfig,
     stream: RngStream,
-    counter: OpCounter | None = None,
+    *,
     record: FaultRecord | None = None,
 ) -> np.ndarray:
     """GEMM with bit flips injected into every primitive-operation output.
@@ -111,9 +110,6 @@ def faulty_gemm(
     if record is not None:
         record.error_cells = mask
         record.flips = int(counts.sum())
-    if counter is not None:
-        counter.workload_mults += m * k * n
-        counter.workload_adds += m * (k - 1) * n
     return C
 
 

@@ -1,4 +1,4 @@
-"""Dense single-precision matrix kernels with exact operation accounting.
+"""Dense single-precision matrix kernels and the operation-count tally.
 
 All values are float32; checksum-style reductions accumulate in float64 so
 that round-off stays far below injected fault magnitudes. GEMM accumulates
@@ -31,10 +31,10 @@ class GemmShape(NamedTuple):
 
 @dataclass
 class OpCounter:
-    """Tallies of primitive operations, split workload vs ABFT machinery."""
+    """Tallies of primitive operations, split workload vs ABFT machinery;
+    workload.forward and abft.protect_gemm charge them."""
 
     workload_mults: int = 0
-    workload_adds: int = 0
     abft_mults: int = 0
     abft_adds: int = 0
     abft_comparisons: int = 0
@@ -47,7 +47,7 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def gemm(A, B, counter: OpCounter | None = None) -> np.ndarray:
+def gemm(A, B) -> np.ndarray:
     """C = A @ B with float32 accumulation in k-ascending order."""
     A = as_matrix(A)
     B = as_matrix(B)
@@ -58,9 +58,6 @@ def gemm(A, B, counter: OpCounter | None = None) -> np.ndarray:
     C = np.zeros((m, n), dtype=np.float32)
     for kk in range(k):
         C += A[:, kk, None] * B[kk, None, :]
-    if counter is not None:
-        counter.workload_mults += m * k * n
-        counter.workload_adds += m * (k - 1) * n
     return C
 
 

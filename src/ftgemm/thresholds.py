@@ -65,11 +65,6 @@ class AlphaAssignment:
         with open(path, "w") as f:
             json.dump(self.to_dict(), f, indent=1, sort_keys=True)
 
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
 
 @dataclass
 class SearchConfig:
@@ -83,10 +78,15 @@ class SearchConfig:
     def __post_init__(self):
         if not 0.0 <= self.accuracy_budget <= 1.0:
             raise ValueError("accuracy_budget must be in [0, 1]")
+        if self.trials_per_eval < 1:
+            raise ValueError("trials_per_eval must be >= 1")
+        if not 0.0 <= self.ber <= 1.0:
+            raise ValueError(f"search ber must be in [0, 1], got {self.ber}")
         if self.resolution <= 0.0:
             raise ValueError("resolution must be > 0")
         if self.order not in ("ascending_size", "inorder"):
             raise ValueError(f"unknown search order {self.order!r}")
+        strategy_from_name(self.strategy)  # ValueError on an unknown name
 
 
 def alpha_to_threshold(profile_min: float, profile_max: float, alpha: float) -> float:

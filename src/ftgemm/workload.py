@@ -108,8 +108,9 @@ def forward(
     cfg is None: clean run. strategy is None: faults without protection.
     Otherwise every GEMM node runs through protect_gemm with
     thresholds[gemm_id] (strict for every node when thresholds is None).
-    `observer`, when given, is called as observer(node, A, B, C, record)
-    after each node.
+    `counter`, when given, is charged each node's m*k*n workload multiplies
+    here and its ABFT operations in protect_gemm. `observer`, when given, is
+    called as observer(node, A, B, C, record) after each node.
     """
     mc = model.cfg
     X = np.asarray(X, dtype=np.float32)
@@ -118,20 +119,20 @@ def forward(
     reports: dict[str, tuple] = {}
 
     def run(node: GemmNode, A, B):
+        if counter is not None:
+            counter.workload_mults += node.shape.macs
         if cfg is None:
-            C = gemm(A, B, counter)
+            C = gemm(A, B)
             rec = None
         else:
             node_cfg = cfg.restricted(node.gemm_id)
             stream = RngStream(cfg.seed, node.gemm_id, trial, sample)
             rec = FaultRecord() if observer is not None else None
             if strategy is None:
-                C = faulty_gemm(A, B, node_cfg, stream, counter, record=rec)
+                C = faulty_gemm(A, B, node_cfg, stream, record=rec)
             else:
                 ts = STRICT if thresholds is None else thresholds[node.gemm_id]
-                C, det, corr = protect_gemm(
-                    A, B, node_cfg, strategy, ts, stream, counter, record=rec
-                )
+                C, det, corr = protect_gemm(A, B, node_cfg, strategy, ts, stream, counter, record=rec)
                 reports[node.gemm_id] = (det, corr)
         if observer is not None:
             observer(node, A, B, C, rec)

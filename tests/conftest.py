@@ -48,7 +48,7 @@ def inject_single(C, r: int, c: int, delta) -> np.ndarray:
 
 def tamper_faulty_gemm(monkeypatch, tamper):
     """Make protect_gemm see tamper(C) in place of its faulty GEMM's output C;
-    the GEMM itself still runs, so its op counts stay."""
+    the GEMM itself still runs and draws from its stream."""
     monkeypatch.setattr(abft, "faulty_gemm", lambda *a, **k: tamper(faulty_gemm(*a, **k)))
 
 

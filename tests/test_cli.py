@@ -122,8 +122,12 @@ def test_search_profiles_must_cover_the_model(search_argv, config_path, capsys):
     ("dataset", "n_samples", 0),
     ("faults", "scope", 5),
     ("output", "format", "xml"),
+    ("search", "strategy", "v9"),
+    ("search", "trials_per_eval", 0),
+    ("search", "ber", 1.5),
 ], ids=["ber-1.5", "ber-negative", "alpha-1.5", "alpha-pair-2", "alpha-abc",
-        "profile-min-above-max", "n_samples-0", "scope-5", "format-xml"])
+        "profile-min-above-max", "n_samples-0", "scope-5", "format-xml",
+        "search-strategy-v9", "search-trials_per_eval-0", "search-ber-1.5"])
 def test_config_mistakes_exit_1_before_any_forward(config_path, tmp_path, capsys, section, key, value):
     raw = json.loads(config_path.read_text())
     raw[section][key] = value
@@ -131,6 +135,23 @@ def test_config_mistakes_exit_1_before_any_forward(config_path, tmp_path, capsys
     assert main(["run", "--config", str(config_path)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("stats", "--ber", "2"),
+    ("stats", "--ber", "-1"),
+    ("stats", "--trials", "0"),
+    ("profile", "--trials", "0"),
+    ("stats", "--gemms", "nope"),
+], ids=["stats-ber-2", "stats-ber-negative", "stats-trials-0", "profile-trials-0", "stats-gemms-nope"])
+def test_override_mistakes_exit_1_before_any_forward(
+    config_path, tmp_path, capsys, monkeypatch, command, flag, value
+):
+    monkeypatch.setattr("ftgemm.cli.generate_dataset", lambda *a: pytest.fail("a forward ran"))
+    out = tmp_path / "out.json"
+    assert main([command, "--config", str(config_path), flag, value, "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stats_unknown_gemm_is_config_error(config_path, tmp_path, capsys):

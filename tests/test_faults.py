@@ -8,15 +8,15 @@ from ftgemm.faults import (
     RngStream,
     faulty_gemm,
 )
-from ftgemm.tensor_core import OpCounter, gemm
+from ftgemm.tensor_core import gemm
 
 
 def test_stream_determinism_and_key_separation():
-    a = RngStream(9, "layer0.attn.q", trial=3, sample=1)
-    b = RngStream(9, "layer0.attn.q", trial=3, sample=1)
-    c = RngStream(9, "layer0.attn.k", trial=3, sample=1)
-    assert a.gen.random(8).tolist() == b.gen.random(8).tolist()
-    assert a.key != c.key
+    def draws(gemm_id):
+        return RngStream(9, gemm_id, trial=3, sample=1).gen.random(8).tolist()
+
+    assert draws("layer0.attn.q") == draws("layer0.attn.q")
+    assert draws("layer0.attn.q") != draws("layer0.attn.k")
 
 
 def test_faulty_gemm_ber_zero_bit_identical():
@@ -81,14 +81,6 @@ def test_faulty_gemm_flip_count_statistics():
         flips += rec.flips
     draws = 32 * m * n * (2 * k - 1) * calls
     assert abs(flips - draws * ber) <= 3 * np.sqrt(draws * ber * (1 - ber))
-
-
-def test_faulty_gemm_counts_like_gemm():
-    c = OpCounter()
-    A = np.ones((3, 4), np.float32)
-    B = np.ones((4, 5), np.float32)
-    faulty_gemm(A, B, FaultConfig(0.5, 1), RngStream(1), c)
-    assert c.workload_mults == 60 and c.workload_adds == 45
 
 
 def test_faulty_gemm_record_tracks_cells():

@@ -1,5 +1,6 @@
 """The benchmark's recorded outputs, checked by the test suite: case 0 of every
-perfbench workload must reproduce its reference lines exactly."""
+perfbench workload must reproduce its reference lines exactly, also under the
+perfbench tracer, whose call counts must agree with those outputs."""
 
 import importlib.util
 import sys
@@ -9,15 +10,35 @@ import pytest
 
 import ftgemm.campaign  # the workloads reach ftgemm.campaign as an attribute
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+spans = _load("spans")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_case_0_matches_reference(name, tmp_path):
     spec = workloads.WORKLOADS[name]
     rep = spec.run(ftgemm, workloads.case_for_seed(0), tmp_path)
+    attempted, failed = spec.check(rep, workloads.load_reference(name)[0])
+    assert attempted > 0 and failed == 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_case_0_matches_reference(name, tmp_path):
+    spec = workloads.WORKLOADS[name]
+    with spans.Tracer(ftgemm) as tracer:
+        rep = spec.run(ftgemm, workloads.case_for_seed(0), tmp_path)
+    observed = tracer.summary()
+    expected = spec.expected_trace(rep, observed)
+    assert {key: observed[key] for key in expected} == expected
     attempted, failed = spec.check(rep, workloads.load_reference(name)[0])
     assert attempted > 0 and failed == 0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -113,7 +114,7 @@ class TestAssignments:
         a = AlphaAssignment.uniform(["g1", "g2"], 0.25)
         path = tmp_path / "alphas.json"
         a.save(path)
-        b = AlphaAssignment.load(path)
+        b = AlphaAssignment.from_dict(json.loads(path.read_text()))
         assert a.alphas == b.alphas
 
     def test_range_check(self):
@@ -176,3 +177,11 @@ class TestSearches:
             SearchConfig(resolution=0.0)
         with pytest.raises(ValueError):
             SearchConfig(order="descending")
+        with pytest.raises(ValueError):
+            SearchConfig(strategy="v9")
+        with pytest.raises(ValueError):
+            SearchConfig(trials_per_eval=0)
+        with pytest.raises(ValueError):
+            SearchConfig(ber=1.5)
+        with pytest.raises(ValueError):
+            SearchConfig(ber=-1e-6)

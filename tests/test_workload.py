@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ftgemm.faults import FaultConfig
-from ftgemm.abft import ThresholdSet, strategy_from_name
+from ftgemm.faults import FaultConfig, RngStream
+from ftgemm.abft import ThresholdSet, protect_gemm, strategy_from_name
 from ftgemm.tensor_core import OpCounter
 from ftgemm.workload import (
     ModelConfig,
@@ -74,13 +74,21 @@ def test_dataset_deterministic(default_model):
 
 
 def test_scope_completeness_counter(default_model, small_dataset):
-    # each node runs exactly once; workload mults match analytic sum
-    seen = []
+    # each node runs exactly once; a clean, an unprotected and a protected
+    # forward each charge the analytic workload mults
+    faulty = FaultConfig(1e-4, 3)
+    for cfg, strategy in [(None, None), (faulty, None), (faulty, strategy_from_name("baseline"))]:
+        seen = []
+        c = OpCounter()
+        forward(default_model, small_dataset.inputs[0], cfg, strategy, counter=c,
+                observer=lambda node, A, B, C, rec: seen.append(node.gemm_id))
+        assert sorted(seen) == sorted(n.gemm_id for n in default_model.nodes)
+        assert c.workload_mults == sum(n.shape.macs for n in default_model.nodes)
+    # protect_gemm charges ABFT operations only
     c = OpCounter()
-    forward(default_model, small_dataset.inputs[0], counter=c,
-            observer=lambda node, A, B, C, rec: seen.append(node.gemm_id))
-    assert sorted(seen) == sorted(n.gemm_id for n in default_model.nodes)
-    assert c.workload_mults == sum(n.shape.macs for n in default_model.nodes)
+    X = np.ones((3, 3), np.float32)
+    protect_gemm(X, X, faulty, strategy_from_name("baseline"), ThresholdSet(), RngStream(1), c)
+    assert c.workload_mults == 0 and c.abft_mults > 0
 
 
 def test_faulty_forward_deterministic(default_model, small_dataset):
