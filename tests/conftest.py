@@ -35,6 +35,48 @@ def gemm_oracle(A, B):
     return C
 
 
+def dense_faulty_gemm(A, B, cfg, stream):
+    """Step-by-step faulty GEMM: returns (C, error_cells, flips).
+
+    Draws one binomial flip count per k-step class (k multiplies, then k-1
+    accumulates), then walks the steps: each step's product and, from step 1,
+    the running sum have the distinct bit positions of their class's count
+    xor-ed into the 32*m*n bits of the step's output. Where the running sum
+    and the product are both NaN, the new sum is the running sum's NaN,
+    quieted.
+    """
+    A = np.ascontiguousarray(A, np.float32)
+    B = np.ascontiguousarray(B, np.float32)
+    m, k = A.shape
+    n = B.shape[1]
+    nbits = 32 * m * n
+    if cfg.ber > 0.0:
+        counts = stream.gen.binomial(nbits, cfg.ber, size=2 * k - 1)
+    else:
+        counts = np.zeros(2 * k - 1, dtype=np.int64)
+    mask = np.zeros((m, n), dtype=bool)
+    C = np.zeros((m, n), dtype=np.float32)
+
+    def flip(arr, count):
+        positions = stream.gen.choice(nbits, size=int(count), replace=False)
+        view = arr.view(np.uint32).reshape(-1)
+        np.bitwise_xor.at(view, positions >> 5, np.left_shift(np.uint32(1), (positions & 31).astype(np.uint32)))
+        mask.reshape(-1)[positions >> 5] = True
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kk in range(k):
+            prod = np.ascontiguousarray(A[:, kk, None] * B[kk, None, :])
+            if counts[kk]:
+                flip(prod, counts[kk])
+            both = np.isnan(C) & np.isnan(prod)
+            kept = C.view(np.uint32)[both] | np.uint32(0x400000)
+            C += prod
+            C.view(np.uint32)[both] = kept
+            if kk and counts[k - 1 + kk]:
+                flip(C, counts[k - 1 + kk])
+    return C, mask, int(counts.sum())
+
+
 def inject_single(C, r: int, c: int, delta) -> np.ndarray:
     """Return a copy of C with delta added to element (r, c)."""
     C = as_matrix(C)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import inject_single
+from conftest import dense_faulty_gemm, inject_single
 from ftgemm.faults import (
     FaultConfig,
     FaultRecord,
@@ -87,13 +87,35 @@ def test_faulty_gemm_record_tracks_cells():
     rng = np.random.default_rng(3)
     A = rng.uniform(-1, 1, (6, 6)).astype(np.float32)
     B = rng.uniform(-1, 1, (6, 6)).astype(np.float32)
+    cfg = FaultConfig(0.002, 5)
     rec = FaultRecord()
-    out = faulty_gemm(A, B, FaultConfig(0.002, 5), RngStream(5), record=rec)
-    clean = gemm(A, B)
-    changed = out.view(np.uint32) != clean.view(np.uint32)
-    # every changed cell must have been recorded (flips may cancel, not appear)
-    assert (~rec.error_cells[changed]).sum() == 0
-    assert rec.flips >= changed.sum()
+    faulty_gemm(A, B, cfg, RngStream(5), record=rec)
+    _, mask, flips = dense_faulty_gemm(A, B, cfg, RngStream(5))
+    np.testing.assert_array_equal(rec.error_cells, mask)
+    assert rec.flips == flips > 0
+
+
+# the model's five GEMM shapes, then odd, tiny and single-column ones
+@pytest.mark.parametrize("shape", [
+    (16, 32, 32), (16, 16, 16), (16, 32, 128), (16, 128, 32), (1, 32, 10),
+    (3, 5, 7), (2, 2, 2), (4, 40, 1), (1, 40, 1),
+])
+def test_faulty_gemm_matches_dense_injector(shape):
+    m, k, n = shape
+    rng = np.random.default_rng(m * 10007 + k * 101 + n)
+    for case in range(40):
+        A = (rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
+        B = (rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
+        A[rng.random((m, k)) < 0.1] = -0.0
+        B[rng.random((k, n)) < 0.1] = -0.0
+        A[rng.random(m) < 0.2] = -0.0  # rows of signed-zero chains
+        cfg = FaultConfig(10.0 ** rng.uniform(-6, np.log10(3e-2)), case)
+        rec = FaultRecord()
+        out = faulty_gemm(A, B, cfg, RngStream(case, "g", 1, 2), record=rec)
+        want, mask, flips = dense_faulty_gemm(A, B, cfg, RngStream(case, "g", 1, 2))
+        np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
+        np.testing.assert_array_equal(rec.error_cells, mask)
+        assert rec.flips == flips
 
 
 def test_inject_single():

@@ -33,13 +33,58 @@ def test_gemm_shape_mismatch():
         gemm(np.ones((2, 3), np.float32), np.ones((4, 2), np.float32))
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_gemm_matches_triple_loop_bit_exactly(seed):
-    rng = np.random.default_rng(seed)
-    m, k, n = rng.integers(1, 12, size=3)
-    A = rng.uniform(-1, 1, (m, k)).astype(np.float32)
-    B = rng.uniform(-1, 1, (k, n)).astype(np.float32)
-    np.testing.assert_array_equal(gemm(A, B), gemm_oracle(A, B))
+def _mixed_operands(rng, m, k, n):
+    """Operands with scales from 1e-3 to 1e3 and -0.0 entries."""
+    A = (rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, 1))).astype(np.float32)
+    B = (rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (1, n))).astype(np.float32)
+    A[rng.random((m, k)) < 0.1] = -0.0
+    B[rng.random((k, n)) < 0.1] = -0.0
+    return A, B
+
+
+# Besides five random shapes: n == 1, m == 1 and m*n == 1 with k > 8, the
+# layouts in which numpy sums k pairwise unless the kernel prevents it.
+@pytest.mark.parametrize(
+    "case",
+    [*range(5), (1, 64, 1), (2, 64, 1), (5, 40, 1), (1, 64, 2), (1, 40, 9), (3, 70, 4)],
+    ids=lambda c: str(c) if isinstance(c, int) else "x".join(map(str, c)),
+)
+def test_gemm_matches_triple_loop_bit_exactly(case):
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        m, k, n = rng.integers(1, 12, size=3)
+        A = rng.uniform(-1, 1, (m, k)).astype(np.float32)
+        B = rng.uniform(-1, 1, (k, n)).astype(np.float32)
+        np.testing.assert_array_equal(gemm(A, B), gemm_oracle(A, B))
+        return
+    rng = np.random.default_rng(sum(case))
+    for _ in range(20):
+        A, B = _mixed_operands(rng, *case)
+        np.testing.assert_array_equal(gemm(A, B).view(np.uint32), gemm_oracle(A, B).view(np.uint32))
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 64])
+def test_numpy_reduces_outer_axis_in_order(width):
+    # kchain relies on this: np.add.reduce over axis 0 of a C-ordered
+    # (k, r) float32 buffer with r >= 2 adds the rows one after another
+    rng = np.random.default_rng(width)
+    buf = (rng.standard_normal((64, width)) * 10.0 ** rng.uniform(-3, 3, (64, width))).astype(np.float32)
+    fold = buf[0].copy()
+    for row in buf[1:]:
+        fold = np.array([np.float32(a + b) for a, b in zip(fold, row)], dtype=np.float32)
+    np.testing.assert_array_equal(np.add.reduce(buf, axis=0).view(np.uint32), fold.view(np.uint32))
+
+
+def test_numpy_accumulate_keeps_the_running_sums_nan():
+    # faulty_gemm's replay relies on this: where both operands of an add in
+    # np.add.accumulate are NaN, the result is the running sum's NaN, quieted
+    running = np.array([0x7FC00001, 0x7F800011, 0xFFC00003, 0x7F800005] * 5, dtype=np.uint32)
+    nxt = np.array([0x7FC00002, 0x7FC00002, 0x7F800012, 0xFF800014] * 5, dtype=np.uint32)
+    for width in (1, 2, 17, 20):
+        buf = np.stack([running[:width], nxt[:width]]).view(np.float32)
+        with np.errstate(invalid="ignore"):
+            out = np.add.accumulate(buf, axis=0)[1].view(np.uint32)
+        np.testing.assert_array_equal(out, running[:width] | np.uint32(0x400000))
 
 
 def test_gemm_bilinearity():
