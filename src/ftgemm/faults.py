@@ -8,6 +8,7 @@ without changing any result.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, replace
 
@@ -17,6 +18,8 @@ from .tensor_core import ShapeError, as_matrix, kchain
 
 _MASK64 = (1 << 64) - 1
 
+
+@functools.lru_cache(maxsize=1024)
 def _id_hash(gemm_id: str) -> int:
     return int.from_bytes(hashlib.sha256(str(gemm_id).encode()).digest()[:8], "little")
 
@@ -42,13 +45,18 @@ class FaultConfig:
 
 
 class RngStream:
-    """Deterministic keyed random stream (Philox counter-based generator)."""
+    """Deterministic keyed random stream (Philox counter-based generator).
+
+    Only the key is computed up front. The generator `gen` is built on first
+    use, so a stream that never draws (a node at BER 0) never seeds one.
+    """
 
     def __init__(self, seed: int, gemm_id: str = "", trial: int = 0, sample: int = 0):
-        ss = np.random.SeedSequence(
-            [seed & _MASK64, trial & _MASK64, sample & _MASK64, _id_hash(gemm_id)]
-        )
-        self.gen = np.random.Generator(np.random.Philox(ss))
+        self.key = [seed & _MASK64, trial & _MASK64, sample & _MASK64, _id_hash(gemm_id)]
+
+    @functools.cached_property
+    def gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(self.key)))
 
 
 @dataclass
@@ -57,6 +65,16 @@ class FaultRecord:
 
     error_cells: np.ndarray | None = None  # bool mask, shape (m, n)
     flips: int = 0
+
+
+@functools.lru_cache(maxsize=64)
+def _class_order(k: int) -> np.ndarray:
+    """The classes of _draw_flips in step order (read-only; shared by calls)."""
+    order = np.zeros(2 * k - 1, dtype=np.intp)
+    order[1::2] = np.arange(1, k)
+    order[2::2] = np.arange(k, 2 * k - 1)
+    order.flags.writeable = False
+    return order
 
 
 def _draw_flips(gen: np.random.Generator, ber: float, nbits: int, k: int):
@@ -68,12 +86,10 @@ def _draw_flips(gen: np.random.Generator, ber: float, nbits: int, k: int):
     accumulate 1, multiply 2, accumulate 2, ...
     """
     counts = gen.binomial(nbits, ber, size=2 * k - 1)
-    order = np.zeros(2 * k - 1, dtype=np.intp)
-    order[1::2] = np.arange(1, k)
-    order[2::2] = np.arange(k, 2 * k - 1)
-    classes = order[counts[order] > 0]
-    if not classes.size:
+    if not np.count_nonzero(counts):  # the common case at low BER
         return None
+    order = _class_order(k)
+    classes = order[counts[order] > 0]
     positions = np.concatenate(
         [gen.choice(nbits, size=int(counts[c]), replace=False) for c in classes]
     )
@@ -94,7 +110,8 @@ def faulty_gemm(
     + (A[i, kk] * B[kk, j] ^ multiply flips of step kk), then, from kk = 1,
     acc ^= accumulate flips of step kk. Where acc and the product are both
     NaN, the sum keeps acc's NaN. With cfg.ber == 0 the result is
-    bit-identical to gemm().
+    bit-identical to gemm(), and the stream is not used, so it never builds
+    its generator.
 
     The stream draws what a step-by-step injector draws, in the same order
     (see _draw_flips), but all up front, since no draw depends on a value.

@@ -105,9 +105,10 @@ def gemm(A, B) -> np.ndarray:
 
 def softmax_rows(X) -> np.ndarray:
     X = as_matrix(X)
-    mx = X.max(axis=1, keepdims=True)
-    e = np.exp((X - mx).astype(np.float32))
-    return (e / e.sum(axis=1, keepdims=True, dtype=np.float32)).astype(np.float32)
+    e = X - X.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 _GELU_C = np.float32(math.sqrt(2.0 / math.pi))
@@ -121,9 +122,14 @@ def gelu(X) -> np.ndarray:
 
 def layernorm_rows(X) -> np.ndarray:
     X = as_matrix(X)
-    mu = X.mean(axis=1, keepdims=True, dtype=np.float32)
-    d = (X - mu).astype(np.float32)
-    var = (d * d).mean(axis=1, keepdims=True, dtype=np.float32)
+    # Dividing by the row length in float32 gives the same float32 as
+    # ndarray.mean, whose float64 division rounds twice (53 >= 2 * 24 + 2 bits).
+    n = np.float32(X.shape[1])
+    d = X - np.add.reduce(X, axis=1, keepdims=True) / n
+    var = np.add.reduce(d * d, axis=1, keepdims=True) / n
+    var += np.float32(1e-6)
+    d /= np.sqrt(var, out=var)
     # + 0.0 turns -0.0 into +0.0, and a bit flip in a product of -0.0
     # gives a different value than one in a product of +0.0.
-    return (d / np.sqrt(var + np.float32(1e-6)) + np.float32(0.0)).astype(np.float32)
+    d += np.float32(0.0)
+    return d

@@ -35,6 +35,24 @@ def gemm_oracle(A, B):
     return C
 
 
+def softmax_rows_oracle(X):
+    """Row softmax as written with ndarray.sum and astype copies."""
+    X = np.asarray(X, np.float32)
+    mx = X.max(axis=1, keepdims=True)
+    e = np.exp((X - mx).astype(np.float32))
+    return (e / e.sum(axis=1, keepdims=True, dtype=np.float32)).astype(np.float32)
+
+
+def layernorm_rows_oracle(X):
+    """Row layernorm as written with ndarray.mean, which divides a float32
+    sum by an integer count in float64, and astype copies."""
+    X = np.asarray(X, np.float32)
+    mu = X.mean(axis=1, keepdims=True, dtype=np.float32)
+    d = (X - mu).astype(np.float32)
+    var = (d * d).mean(axis=1, keepdims=True, dtype=np.float32)
+    return (d / np.sqrt(var + np.float32(1e-6)) + np.float32(0.0)).astype(np.float32)
+
+
 def dense_faulty_gemm(A, B, cfg, stream):
     """Step-by-step faulty GEMM: returns (C, error_cells, flips).
 

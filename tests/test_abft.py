@@ -230,13 +230,15 @@ class TestProtectGemm:
         A = rng.uniform(-1, 1, (n, n)).astype(np.float32)
         B = rng.uniform(-1, 1, (n, n)).astype(np.float32)
         c = OpCounter()
+        stream = RngStream(1)
         C, det, rep = protect_gemm(
             A, B, FaultConfig(0.0, 1), strategy_from_name("baseline"), ThresholdSet(),
-            RngStream(1), c,
+            stream, c,
         )
         assert not det.triggered
         assert c.abft_mults == n
         np.testing.assert_array_equal(C, gemm(A, B))
+        assert "gen" not in vars(stream)  # a BER-0 node never seeds a generator
 
     def test_forced_single_fault_restored(self, monkeypatch):
         rng = np.random.default_rng(9)

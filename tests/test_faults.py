@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,29 @@ def test_stream_determinism_and_key_separation():
     assert draws("layer0.attn.q") != draws("layer0.attn.k")
 
 
+@pytest.mark.parametrize("seed", [0, 2**40, 2**64 - 1, -7])
+def test_stream_equals_eagerly_built_generator(seed, default_model):
+    # the stream's key contract: Philox seeded by SeedSequence over
+    # (seed, trial, sample, first 8 bytes of sha256(gemm_id)), each mod 2**64
+    mask = (1 << 64) - 1
+    ids = ["", *(node.gemm_id for node in default_model.nodes)]
+    for gemm_id, trial, sample in zip(ids, [0, 3, 2**32 + 5, 2**63 + 1] * 6, [2**40, 1, 0, 2**32] * 6):
+        digest = int.from_bytes(hashlib.sha256(gemm_id.encode()).digest()[:8], "little")
+        eager = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            [seed & mask, trial & mask, sample & mask, digest])))
+        lazy = RngStream(seed, gemm_id, trial, sample).gen
+        np.testing.assert_array_equal(
+            lazy.bit_generator.random_raw(64), eager.bit_generator.random_raw(64))
+
+
 def test_faulty_gemm_ber_zero_bit_identical():
     rng = np.random.default_rng(0)
     A = rng.uniform(-1, 1, (5, 7)).astype(np.float32)
     B = rng.uniform(-1, 1, (7, 4)).astype(np.float32)
-    out = faulty_gemm(A, B, FaultConfig(0.0, 123), RngStream(123))
+    stream = RngStream(123)
+    out = faulty_gemm(A, B, FaultConfig(0.0, 123), stream)
     np.testing.assert_array_equal(out.view(np.uint32), gemm(A, B).view(np.uint32))
+    assert "gen" not in vars(stream)  # a BER-0 node never seeds a generator
 
 
 def test_faulty_gemm_seed_determinism():
@@ -103,19 +122,27 @@ def test_faulty_gemm_record_tracks_cells():
 def test_faulty_gemm_matches_dense_injector(shape):
     m, k, n = shape
     rng = np.random.default_rng(m * 10007 + k * 101 + n)
-    for case in range(40):
+    # cases 40.. draw BER 1e-9 to 1e-7, where most GEMMs take no flip at all
+    for case in range(60):
         A = (rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
         B = (rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
         A[rng.random((m, k)) < 0.1] = -0.0
         B[rng.random((k, n)) < 0.1] = -0.0
         A[rng.random(m) < 0.2] = -0.0  # rows of signed-zero chains
-        cfg = FaultConfig(10.0 ** rng.uniform(-6, np.log10(3e-2)), case)
+        lo, hi = (-6, np.log10(3e-2)) if case < 40 else (-9, -7)
+        cfg = FaultConfig(10.0 ** rng.uniform(lo, hi), case)
         rec = FaultRecord()
-        out = faulty_gemm(A, B, cfg, RngStream(case, "g", 1, 2), record=rec)
-        want, mask, flips = dense_faulty_gemm(A, B, cfg, RngStream(case, "g", 1, 2))
+        stream, oracle_stream = RngStream(case, "g", 1, 2), RngStream(case, "g", 1, 2)
+        out = faulty_gemm(A, B, cfg, stream, record=rec)
+        want, mask, flips = dense_faulty_gemm(A, B, cfg, oracle_stream)
         np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
         np.testing.assert_array_equal(rec.error_cells, mask)
         assert rec.flips == flips
+        # both consumed the same draws
+        assert stream.gen.random() == oracle_stream.gen.random()
+        if flips == 0:
+            np.testing.assert_array_equal(out.view(np.uint32), gemm(A, B).view(np.uint32))
+            assert not rec.error_cells.any()
 
 
 def test_inject_single():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import gemm_oracle
+from conftest import gemm_oracle, layernorm_rows_oracle, softmax_rows_oracle
 from ftgemm.tensor_core import (
     ShapeError,
     gelu,
     gemm,
+    kchain,
     layernorm_rows,
     softmax_rows,
 )
@@ -61,6 +62,27 @@ def test_gemm_matches_triple_loop_bit_exactly(case):
     for _ in range(20):
         A, B = _mixed_operands(rng, *case)
         np.testing.assert_array_equal(gemm(A, B).view(np.uint32), gemm_oracle(A, B).view(np.uint32))
+
+
+# the model's five GEMM shapes (16x128x32 takes four k-chunks), then odd,
+# single-column and single-cell ones
+@pytest.mark.parametrize("shape", [
+    (16, 32, 32), (16, 16, 16), (16, 32, 128), (16, 128, 32), (1, 32, 10),
+    (3, 70, 4), (5, 40, 1), (1, 40, 1),
+])
+def test_kchain_keeps_products_bit_for_bit(shape):
+    # faulty_gemm replays flipped cells from P, so P must hold every product
+    # exactly as the sums used it, the sign of -0.0 products included
+    m, k, n = shape
+    rng = np.random.default_rng(m * 10007 + k * 101 + n)
+    for _ in range(5):
+        A, B = _mixed_operands(rng, m, k, n)
+        keep = rng.choice(m * n, size=int(rng.integers(1, m * n + 1)), replace=False)
+        C, P = kchain(A, B, keep)
+        want = (A.T[:, :, None] * B[:, None, :]).reshape(k, m * n)[:, keep]
+        assert (want.view(np.uint32) == 0x80000000).any()  # -0.0 products occur
+        np.testing.assert_array_equal(P.view(np.uint32), want.view(np.uint32))
+        np.testing.assert_array_equal(C.view(np.uint32), kchain(A, B)[0].view(np.uint32))
 
 
 @pytest.mark.parametrize("width", [2, 3, 17, 64])
@@ -126,6 +148,24 @@ def test_layernorm_turns_negative_zero_positive():
     with np.errstate(over="ignore"):
         out = layernorm_rows(np.array([[-1.0, 1e30, 1e30, 1e30]], np.float32))
     assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 32, 33, 128])
+def test_row_kernels_match_oracle_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 1e30, -1e30, 3e30], np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(40):
+            m = int(rng.integers(1, 17))
+            X = (rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1))).astype(np.float32)
+            X[rng.random(m) < 0.2] *= np.float32(1e30)
+            X[rng.random(m) < 0.1] = -0.0
+            mask = rng.random((m, n)) < 0.1
+            X[mask] = rng.choice(special, int(mask.sum()))
+            for kernel, oracle in ((softmax_rows, softmax_rows_oracle), (layernorm_rows, layernorm_rows_oracle)):
+                np.testing.assert_array_equal(kernel(X).view(np.uint32), oracle(X).view(np.uint32))
+            out = layernorm_rows(X)
+            assert not (np.signbit(out) & (out == 0)).any()
 
 
 def test_activation_nan_propagates():
