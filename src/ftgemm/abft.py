@@ -96,9 +96,13 @@ class SumProfiles:
 
 @dataclass
 class Localization:
-    faulty_rows: tuple
+    faulty_rows: tuple  # ascending Python ints
     faulty_cols: tuple
-    candidates: tuple  # cartesian product faulty_rows x faulty_cols
+
+    @property
+    def candidates(self) -> tuple:
+        """Derived, not stored: the faulty_rows x faulty_cols grid, row-major."""
+        return tuple((r, c) for r in self.faulty_rows for c in self.faulty_cols)
 
 
 @dataclass
@@ -154,10 +158,10 @@ def localize(profiles: SumProfiles, thresholds: ThresholdSet = STRICT) -> Locali
     col_thr = np.maximum(thresholds.col_threshold, fp_floor(profiles.col_scale))
     bad_rows = (~np.isfinite(profiles.rsd)) | (np.abs(profiles.rsd) > row_thr)
     bad_cols = (~np.isfinite(profiles.csd)) | (np.abs(profiles.csd) > col_thr)
-    rows = tuple(int(i) for i in np.flatnonzero(bad_rows))
-    cols = tuple(int(j) for j in np.flatnonzero(bad_cols))
-    candidates = tuple((r, c) for r in rows for c in cols)
-    return Localization(faulty_rows=rows, faulty_cols=cols, candidates=candidates)
+    return Localization(
+        faulty_rows=tuple(np.flatnonzero(bad_rows).tolist()),
+        faulty_cols=tuple(np.flatnonzero(bad_cols).tolist()),
+    )
 
 
 def correct_exact(C, localization: Localization, profiles: SumProfiles):
@@ -168,71 +172,47 @@ def correct_exact(C, localization: Localization, profiles: SumProfiles):
     When neither applies, a candidate (r, c) is still exactly correctable if
     rsd[r] and csd[c] agree (both checksums see the same single error) and
     that agreement is unambiguous within its row and column. Everything else
-    is returned as residual.
+    is returned as residual: a list of (row, col) tuples in the row-major
+    order of `localization.candidates`.
     """
     C2 = as_matrix(C).copy()
-    rows = localization.faulty_rows
-    cols = localization.faulty_cols
-    rsd, csd = profiles.rsd, profiles.csd
-    residual: list[tuple[int, int]] = []
-    if not rows or not cols:
-        return C2, residual
-    row_floor = fp_floor(profiles.row_scale)
-    col_floor = fp_floor(profiles.col_scale)
-
-    if len(cols) == 1:
-        c = cols[0]
-        for r in rows:
-            if math.isfinite(rsd[r]):
-                C2[r, c] = np.float32(C2[r, c] + rsd[r])
-            else:
-                residual.append((r, c))
-        return C2, residual
-    if len(rows) == 1:
-        r = rows[0]
-        for c in cols:
-            if math.isfinite(csd[c]):
-                C2[r, c] = np.float32(C2[r, c] + csd[c])
-            else:
-                residual.append((r, c))
-        return C2, residual
-
-    # Cross-match row vs column deviations over the candidate grid.
-    r_idx = np.array(rows)
-    c_idx = np.array(cols)
-    rv = rsd[r_idx]
-    cv = csd[c_idx]
-    tol = np.maximum(row_floor[r_idx][:, None], col_floor[c_idx][None, :])
-    finite = np.isfinite(rv)[:, None] & np.isfinite(cv)[None, :]
-    match = finite & (np.abs(rv[:, None] - cv[None, :]) <= tol)
-    row_matches = match.sum(axis=1)
-    col_matches = match.sum(axis=0)
-    for a, r in enumerate(rows):
-        for b, c in enumerate(cols):
-            if match[a, b] and row_matches[a] == 1 and col_matches[b] == 1:
-                C2[r, c] = np.float32(C2[r, c] + rsd[r])
-            else:
-                residual.append((r, c))
-    return C2, residual
+    rows = np.array(localization.faulty_rows, dtype=np.intp)
+    cols = np.array(localization.faulty_cols, dtype=np.intp)
+    r = np.repeat(rows, cols.size)  # the candidate grid, row-major
+    c = np.tile(cols, rows.size)
+    if cols.size == 1:
+        dev = profiles.rsd[r]
+        fix = np.isfinite(dev)
+    elif rows.size == 1:
+        dev = profiles.csd[c]
+        fix = np.isfinite(dev)
+    else:
+        # Cross-match row vs column deviations. The finiteness terms matter:
+        # an infinite scale gives an infinite tolerance, and |inf - x| <= inf.
+        dev = profiles.rsd[r]
+        cv = profiles.csd[c]
+        tol = np.maximum(fp_floor(profiles.row_scale[r]), fp_floor(profiles.col_scale[c]))
+        match = np.isfinite(dev) & np.isfinite(cv) & (np.abs(dev - cv) <= tol)
+        grid = match.reshape(rows.size, cols.size)
+        fix = match & ((grid.sum(axis=1) == 1)[:, None] & (grid.sum(axis=0) == 1)).ravel()
+    C2[r[fix], c[fix]] += dev[fix]  # a float64 add, rounded once to float32
+    return C2, list(zip(r[~fix].tolist(), c[~fix].tolist()))
 
 
 def correct_approx(C, residual_candidates, profiles: SumProfiles, mode: str):
-    """Approximate handling of residual candidates: zero them out, or spread
-    the row deviation evenly over the residual candidates of each row."""
+    """Approximate handling of distinct residual candidates: zero them out,
+    or spread the row deviation evenly over the residual candidates of each
+    row (a cell whose share is not finite is left as it is)."""
     C2 = as_matrix(C).copy()
-    if mode == "zero":
-        for r, c in residual_candidates:
-            C2[r, c] = np.float32(0.0)
-    elif mode == "average":
-        per_row: dict[int, int] = {}
-        for r, _ in residual_candidates:
-            per_row[r] = per_row.get(r, 0) + 1
-        for r, c in residual_candidates:
-            share = profiles.rsd[r] / per_row[r]
-            if math.isfinite(share):
-                C2[r, c] = np.float32(C2[r, c] + share)
-    else:
+    if mode not in ("zero", "average"):
         raise ValueError(f"unknown approximate correction mode {mode!r}")
+    r, c = np.array(residual_candidates, dtype=np.intp).reshape(-1, 2).T
+    if mode == "zero":
+        C2[r, c] = np.float32(0.0)
+    else:
+        share = profiles.rsd[r] / np.bincount(r)[r]
+        ok = np.isfinite(share)
+        C2[r[ok], c[ok]] += share[ok]
     return C2
 
 
@@ -250,7 +230,8 @@ def protect_gemm(
 
     Pipeline: checksums -> faulty GEMM -> detection; on a trigger, sum
     profiles -> localization -> exact correction -> approximate correction
-    (or ignore, per strategy).
+    (or ignore, per strategy). The report counts the candidate grid from the
+    lengths of the flagged rows and columns; the grid itself is never built.
     """
     checksums = precompute_checksums(A, B)
     C = faulty_gemm(A, B, cfg, stream, record=record)
@@ -260,7 +241,7 @@ def protect_gemm(
         profiles = compute_sum_profiles(A, B, C, checksums=checksums)
         loc = localize(profiles, thresholds if strategy.localization == "AEL" else STRICT)
         C, residual = correct_exact(C, loc, profiles)
-        report.exact_corrected = len(loc.candidates) - len(residual)
+        report.exact_corrected = len(loc.faulty_rows) * len(loc.faulty_cols) - len(residual)
         if strategy.correction == "BEC":
             report.ignored = len(residual)
         else:

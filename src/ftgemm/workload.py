@@ -118,7 +118,11 @@ def forward(
         raise ValueError(f"input shape {X.shape} != {(mc.seq_len, mc.embed_dim)}")
     reports: dict[str, tuple] = {}
 
-    def run(node: GemmNode, A, B):
+    def run(gemm_id: str, A, B=None):
+        """One GEMM node; B defaults to the node's weight matrix."""
+        node = model.node_by_id[gemm_id]
+        if B is None:
+            B = model.weights[gemm_id]
         if counter is not None:
             counter.workload_mults += node.shape.macs
         if cfg is None:
@@ -150,28 +154,28 @@ def _forward_body(model: Model, x, run, inv_sqrt_hd):
     mc = model.cfg
     for layer in range(mc.num_layers):
         h = layernorm_rows(x)
-        Q = run(model.node_by_id[f"layer{layer}.attn.q"], h, model.weights[f"layer{layer}.attn.q"])
-        K = run(model.node_by_id[f"layer{layer}.attn.k"], h, model.weights[f"layer{layer}.attn.k"])
-        V = run(model.node_by_id[f"layer{layer}.attn.v"], h, model.weights[f"layer{layer}.attn.v"])
+        Q = run(f"layer{layer}.attn.q", h)
+        K = run(f"layer{layer}.attn.k", h)
+        V = run(f"layer{layer}.attn.v", h)
         head_outs = []
         for hh in range(mc.num_heads):
             lo, hi = hh * mc.head_dim, (hh + 1) * mc.head_dim
             Qh = (Q[:, lo:hi] * inv_sqrt_hd).astype(np.float32)
             KhT = np.ascontiguousarray(K[:, lo:hi].T)
-            S = run(model.node_by_id[f"layer{layer}.attn.head{hh}.score"], Qh, KhT)
+            S = run(f"layer{layer}.attn.head{hh}.score", Qh, KhT)
             P = softmax_rows(S)
             Vh = np.ascontiguousarray(V[:, lo:hi])
-            head_outs.append(run(model.node_by_id[f"layer{layer}.attn.head{hh}.value"], P, Vh))
+            head_outs.append(run(f"layer{layer}.attn.head{hh}.value", P, Vh))
         O = np.concatenate(head_outs, axis=1)
-        attn = run(model.node_by_id[f"layer{layer}.attn.out"], O, model.weights[f"layer{layer}.attn.out"])
+        attn = run(f"layer{layer}.attn.out", O)
         x = (x + attn).astype(np.float32)
         h2 = layernorm_rows(x)
-        F1 = run(model.node_by_id[f"layer{layer}.ff.in"], h2, model.weights[f"layer{layer}.ff.in"])
+        F1 = run(f"layer{layer}.ff.in", h2)
         G = gelu(F1)
-        F2 = run(model.node_by_id[f"layer{layer}.ff.out"], G, model.weights[f"layer{layer}.ff.out"])
+        F2 = run(f"layer{layer}.ff.out", G)
         x = (x + F2).astype(np.float32)
     pooled = x.mean(axis=0, dtype=np.float32).reshape(1, mc.embed_dim)
-    logits = run(model.node_by_id["classifier"], pooled, model.weights["classifier"])
+    logits = run("classifier", pooled)
     return logits.ravel()
 
 

@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,84 @@ def dense_faulty_gemm(A, B, cfg, stream):
             if kk and counts[k - 1 + kk]:
                 flip(C, counts[k - 1 + kk])
     return C, mask, int(counts.sum())
+
+
+def localize_oracle(profiles, thresholds=abft.STRICT):
+    """Localization with the candidate grid built cell by cell as tuples."""
+    row_thr = np.maximum(thresholds.row_threshold, abft.fp_floor(profiles.row_scale))
+    col_thr = np.maximum(thresholds.col_threshold, abft.fp_floor(profiles.col_scale))
+    bad_rows = (~np.isfinite(profiles.rsd)) | (np.abs(profiles.rsd) > row_thr)
+    bad_cols = (~np.isfinite(profiles.csd)) | (np.abs(profiles.csd) > col_thr)
+    rows = tuple(int(i) for i in np.flatnonzero(bad_rows))
+    cols = tuple(int(j) for j in np.flatnonzero(bad_cols))
+    candidates = tuple((r, c) for r in rows for c in cols)
+    return SimpleNamespace(faulty_rows=rows, faulty_cols=cols, candidates=candidates)
+
+
+def correct_exact_oracle(C, localization, profiles):
+    """Exact correction with one branch and one per-cell loop per case."""
+    C2 = as_matrix(C).copy()
+    rows = localization.faulty_rows
+    cols = localization.faulty_cols
+    rsd, csd = profiles.rsd, profiles.csd
+    residual = []
+    if not rows or not cols:
+        return C2, residual
+    row_floor = abft.fp_floor(profiles.row_scale)
+    col_floor = abft.fp_floor(profiles.col_scale)
+
+    if len(cols) == 1:
+        c = cols[0]
+        for r in rows:
+            if math.isfinite(rsd[r]):
+                C2[r, c] = np.float32(C2[r, c] + rsd[r])
+            else:
+                residual.append((r, c))
+        return C2, residual
+    if len(rows) == 1:
+        r = rows[0]
+        for c in cols:
+            if math.isfinite(csd[c]):
+                C2[r, c] = np.float32(C2[r, c] + csd[c])
+            else:
+                residual.append((r, c))
+        return C2, residual
+
+    r_idx = np.array(rows)
+    c_idx = np.array(cols)
+    rv = rsd[r_idx]
+    cv = csd[c_idx]
+    tol = np.maximum(row_floor[r_idx][:, None], col_floor[c_idx][None, :])
+    finite = np.isfinite(rv)[:, None] & np.isfinite(cv)[None, :]
+    match = finite & (np.abs(rv[:, None] - cv[None, :]) <= tol)
+    row_matches = match.sum(axis=1)
+    col_matches = match.sum(axis=0)
+    for a, r in enumerate(rows):
+        for b, c in enumerate(cols):
+            if match[a, b] and row_matches[a] == 1 and col_matches[b] == 1:
+                C2[r, c] = np.float32(C2[r, c] + rsd[r])
+            else:
+                residual.append((r, c))
+    return C2, residual
+
+
+def correct_approx_oracle(C, residual_candidates, profiles, mode):
+    """Approximate correction with per-row counts in a dict and a per-cell loop."""
+    C2 = as_matrix(C).copy()
+    if mode == "zero":
+        for r, c in residual_candidates:
+            C2[r, c] = np.float32(0.0)
+    elif mode == "average":
+        per_row = {}
+        for r, _ in residual_candidates:
+            per_row[r] = per_row.get(r, 0) + 1
+        for r, c in residual_candidates:
+            share = profiles.rsd[r] / per_row[r]
+            if math.isfinite(share):
+                C2[r, c] = np.float32(C2[r, c] + share)
+    else:
+        raise ValueError(f"unknown approximate correction mode {mode!r}")
+    return C2
 
 
 def inject_single(C, r: int, c: int, delta) -> np.ndarray:

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import inject_single, tamper_faulty_gemm
+from conftest import (
+    correct_approx_oracle,
+    correct_exact_oracle,
+    inject_single,
+    localize_oracle,
+    tamper_faulty_gemm,
+)
 from ftgemm.abft import (
+    STRICT,
     AbftStrategy,
+    SumProfiles,
     ThresholdSet,
     compute_sum_profiles,
     correct_approx,
@@ -15,7 +23,7 @@ from ftgemm.abft import (
     protect_gemm,
     strategy_from_name,
 )
-from ftgemm.faults import FaultConfig, RngStream
+from ftgemm.faults import FaultConfig, RngStream, faulty_gemm
 from ftgemm.tensor_core import OpCounter, gemm
 
 
@@ -218,6 +226,88 @@ class TestCorrectApprox:
         prof = compute_sum_profiles(A, B, C, checksums=precompute_checksums(A, B))
         with pytest.raises(ValueError):
             correct_approx(C, [], prof, "median")
+
+
+def _bits(M):
+    return np.ascontiguousarray(M, np.float32).view(np.uint32)
+
+
+def _recover_like_oracle(C, prof, thresholds):
+    """Run localize, correct_exact and both correct_approx modes against the
+    loop oracles; return (rows, cols, residual)."""
+    with np.errstate(all="ignore"):
+        loc = localize(prof, thresholds)
+        want = localize_oracle(prof, thresholds)
+        assert (loc.faulty_rows, loc.faulty_cols) == (want.faulty_rows, want.faulty_cols)
+        assert loc.candidates == want.candidates
+        assert all(type(i) is int for i in loc.faulty_rows + loc.faulty_cols)
+        fixed, residual = correct_exact(C, loc, prof)
+        want_fixed, want_residual = correct_exact_oracle(C, want, prof)
+        assert residual == want_residual  # same cells, same row-major order
+        assert all(type(i) is int for cell in residual for i in cell)
+        np.testing.assert_array_equal(_bits(fixed), _bits(want_fixed))
+        for mode in ("zero", "average"):
+            np.testing.assert_array_equal(
+                _bits(correct_approx(fixed, residual, prof, mode)),
+                _bits(correct_approx_oracle(fixed, residual, prof, mode)),
+            )
+    return loc.faulty_rows, loc.faulty_cols, residual
+
+
+class TestRecoveryMatchesOracle:
+    @pytest.mark.parametrize("m, k, n", [
+        (16, 32, 32), (16, 16, 16), (16, 32, 128), (16, 128, 32), (1, 32, 10), (3, 5, 7),
+    ])
+    def test_faulty_gemms(self, m, k, n):
+        rng = np.random.default_rng(m * k * n)
+        A = rng.uniform(-1, 1, (m, k)).astype(np.float32)
+        B = rng.uniform(-1, 1, (k, n)).astype(np.float32)
+        ck = precompute_checksums(A, B)
+        fixed = residuals = 0
+        for ber in (1e-5, 1e-4, 1e-3, 3e-3):
+            for seed in range(3):
+                C = faulty_gemm(A, B, FaultConfig(ber, seed), RngStream(seed, "oracle"))
+                with np.errstate(all="ignore"):
+                    prof = compute_sum_profiles(A, B, C, checksums=ck)
+                    rsd = np.abs(prof.rsd[np.isfinite(prof.rsd)])
+                    csd = np.abs(prof.csd[np.isfinite(prof.csd)])
+                relaxed = ThresholdSet(
+                    0.0, float(np.median(rsd)) if rsd.size else 0.0,
+                    float(np.median(csd)) if csd.size else 0.0,
+                )
+                for ts in (STRICT, relaxed):
+                    rows, cols, residual = _recover_like_oracle(C, prof, ts)
+                    fixed += len(rows) * len(cols) - len(residual)
+                    residuals += len(residual)
+        # a single row leaves a residual only where a column deviation is not finite
+        assert fixed and (residuals or m == 1)
+
+    def test_synthetic_profiles(self):
+        """Non-finite deviations and scales, exact ties, near-matches around
+        the tolerance, and every grid shape."""
+        rng = np.random.default_rng(16)
+        specials = [np.nan, np.inf, -np.inf]
+        scales = np.array([0.5, 1.0, 300.0, np.inf, np.nan])
+        offsets = np.array([0.0, 0.0, 1e-5, 1e-3, 0.02, 0.05])
+        grids = set()
+        for _ in range(3000):
+            m, n = rng.integers(1, 7, 2)
+            pool = np.concatenate([rng.normal(0.0, 10.0, 3), specials])  # shared: ties
+            rsd = np.where(rng.random(m) < 0.3, 0.0, rng.choice(pool, m))
+            csd = np.where(rng.random(n) < 0.3, 0.0, rng.choice(pool, n))
+            csd = csd + rng.choice(offsets, n) * rng.choice([-1.0, 1.0], n)
+            prof = SumProfiles(
+                rsd=rsd, csd=csd,
+                row_scale=rng.choice(scales, m, p=[0.3, 0.3, 0.2, 0.1, 0.1]),
+                col_scale=rng.choice(scales, n, p=[0.3, 0.3, 0.2, 0.1, 0.1]),
+            )
+            C = rng.normal(0.0, 1.0, (m, n)).astype(np.float32)
+            C[rng.random((m, n)) < 0.1] = rng.choice(specials)
+            thr = float(rng.choice([0.0, 1.0, 8.0]))
+            rows, cols, _ = _recover_like_oracle(C, prof, ThresholdSet(0.0, thr, thr))
+            grids.add((min(len(rows), 2), min(len(cols), 2)))
+        # empty, 1x1, 1xn, mx1 and mxn grids all occurred
+        assert {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)} <= grids
 
 
 _L_SHAPE = [(0, 0), (0, 1), (1, 0)]
