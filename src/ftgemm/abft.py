@@ -99,11 +99,6 @@ class Localization:
     faulty_rows: tuple  # ascending Python ints
     faulty_cols: tuple
 
-    @property
-    def candidates(self) -> tuple:
-        """Derived, not stored: the faulty_rows x faulty_cols grid, row-major."""
-        return tuple((r, c) for r in self.faulty_rows for c in self.faulty_cols)
-
 
 @dataclass
 class CorrectionReport:
@@ -173,7 +168,7 @@ def correct_exact(C, localization: Localization, profiles: SumProfiles):
     rsd[r] and csd[c] agree (both checksums see the same single error) and
     that agreement is unambiguous within its row and column. Everything else
     is returned as residual: a list of (row, col) tuples in the row-major
-    order of `localization.candidates`.
+    order of the faulty_rows x faulty_cols candidate grid.
     """
     C2 = as_matrix(C).copy()
     rows = np.array(localization.faulty_rows, dtype=np.intp)

@@ -22,7 +22,7 @@ from .thresholds import (
     sample_deviations,
     thresholds_from_assignment,
 )
-from .workload import Dataset, Model, ModelConfig, build_model, evaluate, generate_dataset
+from .workload import Dataset, Model, ModelConfig, build_model, check_int, evaluate, generate_dataset
 
 RESULT_FIELDS = (
     "ber",
@@ -71,17 +71,17 @@ class CampaignConfig:
             raise ConfigError("faults.bers must be a nonempty list")
         if not all(0.0 <= ber <= 1.0 for ber in self.bers):
             raise ConfigError(f"faults.bers must lie in [0, 1], got {self.bers}")
-        if self.n_samples < 1:
-            raise ConfigError("dataset.n_samples must be >= 1")
         if not self.strategies:
             raise ConfigError("abft.strategies must be a nonempty list")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        for name in self.strategies:
-            try:
+        try:
+            check_int("dataset.n_samples", self.n_samples, 1)
+            check_int("dataset.data_seed", self.data_seed, 0)  # seeds default_rng
+            check_int("faults.trials", self.trials, 1)
+            check_int("faults.base_seed", self.base_seed)
+            for name in self.strategies:
                 strategy_from_name(name)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if isinstance(self.alphas, (int, float)) and not 0.0 <= self.alphas <= 1.0:
             raise ConfigError(f"a global abft.alphas must lie in [0, 1], got {self.alphas!r}")
         if self.output_format not in ("csv", "json"):
@@ -126,12 +126,12 @@ def config_from_dict(raw: dict) -> CampaignConfig:
         scope = faults_sec.get("scope")
         return CampaignConfig(
             model=ModelConfig(**model_sec),
-            n_samples=int(data_sec.get("n_samples", 100)),
-            data_seed=int(_require(data_sec, "data_seed", "dataset")),
+            n_samples=data_sec.get("n_samples", 100),
+            data_seed=_require(data_sec, "data_seed", "dataset"),
             bers=[float(b) for b in _require(faults_sec, "bers", "faults")],
             strategies=list(_require(abft_sec, "strategies", "abft")),
-            trials=int(faults_sec.get("trials", 1)),
-            base_seed=int(_require(faults_sec, "base_seed", "faults")),
+            trials=faults_sec.get("trials", 1),
+            base_seed=_require(faults_sec, "base_seed", "faults"),
             scope=None if scope is None else frozenset(scope),
             profiles=None if profiles is None else profiles_from_dict(profiles),
             alphas=alphas,
@@ -158,29 +158,16 @@ def load_config(path: str) -> CampaignConfig:
 
 def profiles_to_dict(profiles: dict[float, dict[str, DeviationProfile]]) -> dict:
     return {
-        repr(ber): {
-            gid: {
-                "msd_min": p.msd_min,
-                "msd_max": p.msd_max,
-                "rcsd_min": p.rcsd_min,
-                "rcsd_max": p.rcsd_max,
-                "sample_count": p.sample_count,
-            }
-            for gid, p in per_gemm.items()
-        }
+        repr(ber): {gid: asdict(p) for gid, p in per_gemm.items()}
         for ber, per_gemm in profiles.items()
     }
 
 
 def profiles_from_dict(d: dict) -> dict[float, dict[str, DeviationProfile]]:
-    out = {}
-    for ber_key, per_gemm in d.items():
-        ber = float(ber_key)
-        out[ber] = {
-            gid: DeviationProfile(gemm_id=gid, ber=ber, **vals)
-            for gid, vals in per_gemm.items()
-        }
-    return out
+    return {
+        float(ber): {gid: DeviationProfile(**vals) for gid, vals in per_gemm.items()}
+        for ber, per_gemm in d.items()
+    }
 
 
 @dataclass
@@ -362,14 +349,6 @@ def compute_stats(
     )
 
 
-def _format_value(v):
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def emit(result, fmt: str, path: str):
     """Write campaign rows; CSV numbers round-trip."""
     rows = sorted(result, key=lambda r: (r["ber"], r["strategy"], r["trial"]))
@@ -378,7 +357,7 @@ def emit(result, fmt: str, path: str):
             writer = csv.writer(f)
             writer.writerow(RESULT_FIELDS)
             for row in rows:
-                writer.writerow([_format_value(row[k]) for k in RESULT_FIELDS])
+                writer.writerow([row[k] for k in RESULT_FIELDS])
     elif fmt == "json":
         with open(path, "w") as f:
             json.dump([{k: row[k] for k in RESULT_FIELDS} for row in rows], f, indent=1)

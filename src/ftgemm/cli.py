@@ -30,8 +30,9 @@ def _trials(args) -> int:
 def cmd_gemms(args) -> int:
     _, model = _ctx(args.config)
     print(f"{'gemm_id':<28} {'m':>5} {'k':>5} {'n':>5} {'macs':>9}")
-    for gid, m, k, n in model.node_table():
-        print(f"{gid:<28} {m:>5} {k:>5} {n:>5} {m * k * n:>9}")
+    for node in model.nodes:
+        m, k, n = node.shape
+        print(f"{node.gemm_id:<28} {m:>5} {k:>5} {n:>5} {m * k * n:>9}")
     return 0
 
 

@@ -34,12 +34,9 @@ class FaultConfig:
         if not 0.0 <= self.ber <= 1.0:
             raise ValueError(f"ber must be in [0, 1], got {self.ber}")
 
-    def in_scope(self, gemm_id: str) -> bool:
-        return self.scope is None or gemm_id in self.scope
-
     def restricted(self, gemm_id: str) -> "FaultConfig":
         """Config as seen by one GEMM node: zero BER when out of scope."""
-        if self.in_scope(gemm_id):
+        if self.scope is None or gemm_id in self.scope:
             return self
         return replace(self, ber=0.0)
 

@@ -19,13 +19,14 @@ import numpy as np
 
 from .abft import REL_EPS, ThresholdSet, compute_sum_profiles, detect, precompute_checksums, strategy_from_name
 from .faults import FaultConfig
-from .workload import Dataset, Model, evaluate, forward
+from .workload import Dataset, Model, check_int, evaluate, forward
 
 
 @dataclass
 class DeviationProfile:
-    gemm_id: str
-    ber: float
+    """One GEMM's deviation ranges at one BER over sample_count trials, and
+    the profile file format: asdict() writes it, DeviationProfile(**d) reads it."""
+
     msd_min: float
     msd_max: float
     rcsd_min: float
@@ -33,8 +34,9 @@ class DeviationProfile:
     sample_count: int
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        check_int("sample_count", self.sample_count, 1)
+        if not all(map(math.isfinite, (self.msd_min, self.msd_max, self.rcsd_min, self.rcsd_max))):
+            raise ValueError("profile bounds must be finite")
         if self.msd_min > self.msd_max or self.rcsd_min > self.rcsd_max:
             raise ValueError("profile min must not exceed max")
 
@@ -78,12 +80,11 @@ class SearchConfig:
     def __post_init__(self):
         if not 0.0 <= self.accuracy_budget <= 1.0:
             raise ValueError("accuracy_budget must be in [0, 1]")
-        if self.trials_per_eval < 1:
-            raise ValueError("trials_per_eval must be >= 1")
+        check_int("trials_per_eval", self.trials_per_eval, 1)
         if not 0.0 <= self.ber <= 1.0:
             raise ValueError(f"search ber must be in [0, 1], got {self.ber}")
-        if self.resolution <= 0.0:
-            raise ValueError("resolution must be > 0")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
         if self.order not in ("ascending_size", "inorder"):
             raise ValueError(f"unknown search order {self.order!r}")
         strategy_from_name(self.strategy)  # ValueError on an unknown name
@@ -138,8 +139,6 @@ def profile_all(model: Model, inputs, ber: float, trials: int, seed: int) -> dic
         ms = msd_samples[node.gemm_id] or [0.0]
         rs = rc_samples[node.gemm_id] or [0.0]
         profiles[node.gemm_id] = DeviationProfile(
-            gemm_id=node.gemm_id,
-            ber=ber,
             msd_min=min(ms),
             msd_max=max(ms),
             rcsd_min=min(rs),
@@ -208,12 +207,12 @@ def binary_search_global_alpha(
     cfg: SearchConfig,
     profiles: dict[str, DeviationProfile],
     base_seed: int,
-    clean_accuracy: float = 1.0,
 ):
     """Largest single alpha, shared by every GEMM, keeping mean accuracy
-    within the budget of the clean accuracy. Returns (alpha, feasible)."""
+    within the budget of the clean accuracy, which is 1.0 on a self-labelled
+    dataset. Returns (alpha, feasible)."""
     gemm_ids = [n.gemm_id for n in model.nodes]
-    target = clean_accuracy - cfg.accuracy_budget
+    target = 1.0 - cfg.accuracy_budget
 
     def feasible(alpha):
         assignment = AlphaAssignment.uniform(gemm_ids, alpha)

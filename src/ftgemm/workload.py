@@ -9,13 +9,22 @@ defined at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .abft import STRICT, AbftStrategy, ThresholdSet, protect_gemm
 from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
 from .tensor_core import GemmShape, OpCounter, gelu, gemm, layernorm_rows, softmax_rows
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """ValueError unless value is an integer (not a bool), >= minimum if given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,9 +38,8 @@ class ModelConfig:
     weight_seed: int = 0
 
     def __post_init__(self):
-        if min(self.num_layers, self.embed_dim, self.num_heads, self.seq_len,
-               self.ff_multiplier, self.num_classes) < 1:
-            raise ValueError("all model dimensions must be >= 1")
+        for f in fields(self):  # dimensions >= 1; the seed seeds default_rng
+            check_int(f"model.{f.name}", getattr(self, f.name), 0 if f.name == "weight_seed" else 1)
         if self.embed_dim % self.num_heads:
             raise ValueError("embed_dim must be divisible by num_heads")
 
@@ -52,9 +60,6 @@ class Model:
         self.nodes = list(nodes)  # topological order
         self.node_by_id = {n.gemm_id: n for n in self.nodes}
         self.weights = weights  # gemm_id -> float32 weight matrix
-
-    def node_table(self):
-        return [(n.gemm_id, n.shape.m, n.shape.k, n.shape.n) for n in self.nodes]
 
 
 def build_model(cfg: ModelConfig) -> Model:

@@ -98,6 +98,11 @@ def dense_faulty_gemm(A, B, cfg, stream):
     return C, mask, int(counts.sum())
 
 
+def candidates(loc):
+    """The faulty_rows x faulty_cols candidate grid of a localization, row-major."""
+    return tuple((r, c) for r in loc.faulty_rows for c in loc.faulty_cols)
+
+
 def localize_oracle(profiles, thresholds=abft.STRICT):
     """Localization with the candidate grid built cell by cell as tuples."""
     row_thr = np.maximum(thresholds.row_threshold, abft.fp_floor(profiles.row_scale))

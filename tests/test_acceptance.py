@@ -225,7 +225,7 @@ def test_l_shape_pattern_zeroed(monkeypatch):
     loc = localize(prof)
     expected = {(1, 1), (1, 3), (4, 1), (4, 3)}
     corrected, residual = correct_exact(faulty, loc, prof)
-    ok = set(loc.candidates) == expected and set(residual) == expected
+    ok = set(conftest.candidates(loc)) == expected and set(residual) == expected
     ok &= np.array_equal(corrected, faulty)  # no exact correction applied
 
     zeroed = correct_approx(faulty, residual, prof, "zero")
@@ -302,7 +302,7 @@ def test_threshold_monotonicity():
             triggered = {
                 i for i, (C, ck, _, _) in enumerate(traces) if detect(C, ck, ts).triggered
             }
-            candidates = [set(localize(t[2], ts).candidates) for t in traces]
+            candidates = [set(conftest.candidates(localize(t[2], ts))) for t in traces]
         if prev_triggered is not None:
             ok &= triggered <= prev_triggered
             ok &= all(c <= p for c, p in zip(candidates, prev_candidates))

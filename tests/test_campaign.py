@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ftgemm.campaign import (
@@ -142,6 +143,16 @@ def test_emit_csv_roundtrip(tmp_path, basic_rows):
     path = tmp_path / "r.csv"
     emit(basic_rows, "csv", path)
     back = load_results_csv(path)
+    assert back == sorted(basic_rows, key=lambda r: (r["ber"], r["strategy"], r["trial"]))
+
+
+def test_emit_csv_roundtrip_numpy_scalars(tmp_path, basic_rows):
+    # numpy 2 reprs a float64 as "np.float64(...)"; the CSV must hold the number
+    rows = [dict(r, ber=np.float64(r["ber"]), accuracy=np.float64(r["accuracy"])) for r in basic_rows]
+    emit(rows, "csv", tmp_path / "np.csv")
+    emit(basic_rows, "csv", tmp_path / "plain.csv")
+    assert (tmp_path / "np.csv").read_text() == (tmp_path / "plain.csv").read_text()
+    back = load_results_csv(tmp_path / "np.csv")
     assert back == sorted(basic_rows, key=lambda r: (r["ber"], r["strategy"], r["trial"]))
 
 

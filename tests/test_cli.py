@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -24,8 +25,10 @@ def config_path(tmp_path):
 
 def test_gemms(config_path, capsys):
     assert main(["gemms", "--config", str(config_path)]) == 0
-    out = capsys.readouterr().out
-    assert "classifier" in out and "layer0.ff.in" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 11  # header, then one row per GEMM of the 1-layer model
+    assert f"{'layer0.ff.in':<28} {16:>5} {32:>5} {128:>5} {65536:>9}" in lines
+    assert lines[-1].split()[0] == "classifier"
 
 
 def test_profile_then_search_then_run(config_path, tmp_path, capsys):
@@ -125,9 +128,25 @@ def test_search_profiles_must_cover_the_model(search_argv, config_path, capsys):
     ("search", "strategy", "v9"),
     ("search", "trials_per_eval", 0),
     ("search", "ber", 1.5),
+    ("model", "num_layers", 2.5),
+    ("model", "weight_seed", 1.5),
+    ("model", "weight_seed", "abc"),
+    ("model", "weight_seed", -1),
+    ("dataset", "data_seed", -1),
+    ("dataset", "data_seed", 2.5),
+    ("dataset", "n_samples", 2.5),
+    ("faults", "trials", 2.5),
+    ("faults", "base_seed", 2.5),
+    ("abft", "profiles", {"1e-05": {"classifier": {
+        "msd_min": 0.0, "msd_max": math.nan, "rcsd_min": 0.0, "rcsd_max": 1.0, "sample_count": 1}}}),
+    ("search", "resolution", math.nan),
+    ("search", "trials_per_eval", 1.5),
 ], ids=["ber-1.5", "ber-negative", "alpha-1.5", "alpha-pair-2", "alpha-abc",
         "profile-min-above-max", "n_samples-0", "scope-5", "format-xml",
-        "search-strategy-v9", "search-trials_per_eval-0", "search-ber-1.5"])
+        "search-strategy-v9", "search-trials_per_eval-0", "search-ber-1.5",
+        "num_layers-2.5", "weight_seed-1.5", "weight_seed-abc", "weight_seed-negative",
+        "data_seed-negative", "data_seed-2.5", "n_samples-2.5", "trials-2.5", "base_seed-2.5",
+        "profile-nan-bound", "search-resolution-nan", "search-trials_per_eval-1.5"])
 def test_config_mistakes_exit_1_before_any_forward(config_path, tmp_path, capsys, section, key, value):
     raw = json.loads(config_path.read_text())
     raw[section][key] = value

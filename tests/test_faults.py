@@ -161,7 +161,8 @@ def test_fault_config_validation_and_scope():
     with pytest.raises(ValueError):
         FaultConfig(-0.1, 0)
     cfg = FaultConfig(0.5, 0, scope=frozenset({"a"}))
-    assert cfg.in_scope("a") and not cfg.in_scope("b")
+    assert cfg.restricted("a") is cfg
     assert cfg.restricted("b").ber == 0.0
     assert cfg.restricted("a").ber == 0.5
-    assert FaultConfig(0.5, 0).in_scope("anything")
+    unscoped = FaultConfig(0.5, 0)
+    assert unscoped.restricted("anything") is unscoped

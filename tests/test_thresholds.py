@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -104,9 +105,24 @@ class TestProfiles:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DeviationProfile("g", 0.0, 1.0, 0.5, 0.0, 0.0, 1)
+            DeviationProfile(1.0, 0.5, 0.0, 0.0, 1)
         with pytest.raises(ValueError):
-            DeviationProfile("g", 0.0, 0.0, 1.0, 0.0, 0.0, 0)
+            DeviationProfile(0.0, 1.0, 0.0, 0.0, 0)
+        # a NaN bound passes min <= max and would silently give strict cuts;
+        # an infinite one would give an infinite cut at any alpha > 0
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(4):
+                bounds = [0.0, 1.0, 0.0, 1.0]
+                bounds[i] = bad
+                with pytest.raises(ValueError):
+                    DeviationProfile(*bounds, 1)
+        for count in (1.5, True, "2"):
+            with pytest.raises(ValueError):
+                DeviationProfile(0.0, 1.0, 0.0, 1.0, count)
+
+    def test_fields_are_the_profile_format(self):
+        assert [f.name for f in fields(DeviationProfile)] == [
+            "msd_min", "msd_max", "rcsd_min", "rcsd_max", "sample_count"]
 
 
 class TestAssignments:
@@ -122,7 +138,7 @@ class TestAssignments:
             AlphaAssignment({"g": (1.5, 0.0)})
 
     def test_thresholds_from_assignment(self):
-        profiles = {"g": DeviationProfile("g", 1e-5, 0.0, 100.0, 0.0, 10.0, 5)}
+        profiles = {"g": DeviationProfile(0.0, 100.0, 0.0, 10.0, 5)}
         ts = thresholds_from_assignment(profiles, AlphaAssignment({"g": (0.5, 0.1)}))
         assert ts["g"].detect_threshold == 50.0
         assert ts["g"].row_threshold == 1.0
@@ -175,6 +191,12 @@ class TestSearches:
             SearchConfig(accuracy_budget=2.0)
         with pytest.raises(ValueError):
             SearchConfig(resolution=0.0)
+        # a NaN or infinite resolution would end the bisection unprobed
+        for resolution in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SearchConfig(resolution=resolution)
+        with pytest.raises(ValueError):
+            SearchConfig(trials_per_eval=1.5)
         with pytest.raises(ValueError):
             SearchConfig(order="descending")
         with pytest.raises(ValueError):
