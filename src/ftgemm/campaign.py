@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -82,6 +83,9 @@ class CampaignConfig:
                 strategy_from_name(name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for where, entries in (("faults.bers", self.bers), ("abft.strategies", self.strategies)):
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{where} must not repeat an entry, got {entries}")
         if isinstance(self.alphas, (int, float)) and not 0.0 <= self.alphas <= 1.0:
             raise ConfigError(f"a global abft.alphas must lie in [0, 1], got {self.alphas!r}")
         if self.output_format not in ("csv", "json"):
@@ -105,6 +109,13 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _real(where: str, value) -> float:
+    """value as a float; ConfigError unless it is a real number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(raw: dict) -> CampaignConfig:
     """Build a CampaignConfig from the JSON config-file structure; any
     mistake in it is a ConfigError."""
@@ -122,13 +133,13 @@ def config_from_dict(raw: dict) -> CampaignConfig:
         if isinstance(alphas, dict):
             alphas = AlphaAssignment.from_dict(alphas)
         elif alphas is not None:
-            alphas = float(alphas)
+            alphas = _real("abft.alphas", alphas)
         scope = faults_sec.get("scope")
         return CampaignConfig(
             model=ModelConfig(**model_sec),
             n_samples=data_sec.get("n_samples", 100),
             data_seed=_require(data_sec, "data_seed", "dataset"),
-            bers=[float(b) for b in _require(faults_sec, "bers", "faults")],
+            bers=[_real("faults.bers entry", b) for b in _require(faults_sec, "bers", "faults")],
             strategies=list(_require(abft_sec, "strategies", "abft")),
             trials=faults_sec.get("trials", 1),
             base_seed=_require(faults_sec, "base_seed", "faults"),
@@ -210,22 +221,31 @@ def profiles_at(config: CampaignConfig, model: Model, ber: float) -> dict[str, D
 
 def _build_context(config: CampaignConfig) -> _Context:
     model = build_model(config.model)
+    scope = config.scope
+    if scope is not None and not (scope and scope <= model.node_by_id.keys()):
+        unknown = sorted(map(repr, scope - model.node_by_id.keys()))
+        raise ConfigError(f"faults.scope must name one or more of the model's GEMMs; unknown: {unknown}")
     thresholds = _thresholds(config, model)
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
     return _Context(model=model, dataset=dataset, thresholds=thresholds, config=config)
 
 
-def _run_point(ctx: _Context, ber: float, strategy_name: str, trial: int) -> dict:
+def _run_trial(ctx: _Context, ber: float, trial: int) -> list[dict]:
+    """One row per strategy at (ber, trial). The strategies share one draw
+    memo, so each fault stream of the trial is drawn once."""
     config = ctx.config
-    strategy = strategy_from_name(strategy_name)
-    counter = OpCounter()
-    if strategy is None and ber == 0.0:
-        cfg = None  # unprotected, fault-free: plain clean run
-    else:
-        cfg = FaultConfig(ber=ber, seed=config.base_seed, scope=config.scope)
-    stats = evaluate(ctx.model, ctx.dataset, cfg, strategy, ctx.thresholds[ber], counter, trial=trial)
-    values = dict(vars(counter), **vars(stats), ber=ber, strategy=strategy_name, trial=trial)
-    return {k: values[k] for k in RESULT_FIELDS}
+    cfg = FaultConfig(ber=ber, seed=config.base_seed, scope=config.scope, memo={})
+    rows = []
+    for name in config.strategies:
+        strategy = strategy_from_name(name)
+        counter = OpCounter()
+        clean = strategy is None and ber == 0.0  # unprotected, fault-free: plain clean run
+        stats = evaluate(
+            ctx.model, ctx.dataset, None if clean else cfg, strategy, ctx.thresholds[ber], counter, trial=trial
+        )
+        values = dict(vars(counter), **vars(stats), ber=ber, strategy=name, trial=trial)
+        rows.append({k: values[k] for k in RESULT_FIELDS})
+    return rows
 
 
 _WORKER_CTX: _Context | None = None
@@ -237,32 +257,28 @@ def _init_worker(ctx: _Context):
 
 
 def _worker_run(task):
-    ber, strategy_name, trial = task
-    return _run_point(_WORKER_CTX, ber, strategy_name, trial)
+    return _run_trial(_WORKER_CTX, *task)
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> list[dict]:
     """Execute the full sweep; one row per (ber, strategy, trial), sorted.
 
-    Runs in-process with one worker, else in a pool of at most one process
-    per task."""
+    The unit of work is one (ber, trial), which runs every strategy. Runs
+    in-process with one worker, else in a pool of at most one process per
+    (ber, trial)."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    tasks = [
-        (ber, s, t)
-        for ber in config.bers
-        for s in config.strategies
-        for t in range(config.trials)
-    ]
+    tasks = [(ber, t) for ber in config.bers for t in range(config.trials)]
     workers = min(workers, len(tasks))
     ctx = _build_context(config)  # a ConfigError here, not a broken pool
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
-            rows = list(pool.map(_worker_run, tasks, chunksize=1))
+            results = list(pool.map(_worker_run, tasks, chunksize=1))
     else:
-        rows = [_run_point(ctx, *task) for task in tasks]
+        results = [_run_trial(ctx, *task) for task in tasks]
+    rows = [row for trial_rows in results for row in trial_rows]
     rows.sort(key=lambda r: (r["ber"], r["strategy"], r["trial"]))
     return rows
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +29,11 @@ class FaultConfig:
     ber: float
     seed: int
     scope: frozenset | None = None  # None = every GEMM is subject to injection
+    # Draw memo: faulty_gemm's draws by (*stream.key, m, n, k). Give a config
+    # one only where the same streams are replayed (every strategy of one
+    # campaign trial, every evaluate of one search); it grows with the
+    # streams drawn and lives as long as the config.
+    memo: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.ber <= 1.0:
@@ -121,7 +126,7 @@ def faulty_gemm(
         raise ShapeError(f"gemm shape mismatch: {A.shape} x {B.shape}")
     m, k = A.shape
     n = B.shape[1]
-    drawn = _draw_flips(stream.gen, cfg.ber, 32 * m * n, k) if cfg.ber > 0.0 else None
+    drawn = _flips(cfg, stream, m, n, k) if cfg.ber > 0.0 else None
     cells = np.zeros(m * n, dtype=bool)
     # flips legitimately produce inf/NaN; accumulate without warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -138,6 +143,20 @@ def faulty_gemm(
         record.error_cells = cells.reshape(m, n)
         record.flips = 0 if drawn is None else len(drawn[1])
     return C
+
+
+def _flips(cfg: FaultConfig, stream: RngStream, m: int, n: int, k: int):
+    """The stream's _draw_flips for an (m, k) x (k, n) GEMM, drawn once per
+    key when cfg has a memo; memoized draws are read-only."""
+    if cfg.memo is None:
+        return _draw_flips(stream.gen, cfg.ber, 32 * m * n, k)
+    key = (*stream.key, m, n, k)
+    if key not in cfg.memo:
+        drawn = _draw_flips(stream.gen, cfg.ber, 32 * m * n, k)
+        for array in drawn or ():
+            array.flags.writeable = False
+        cfg.memo[key] = drawn
+    return cfg.memo[key]
 
 
 def _replay(P, faulty, cell, classes, positions, k):

@@ -6,7 +6,8 @@ Alpha itself is chosen either globally with a binary search or per GEMM with
 a greedy pass over the GEMMs (optionally in ascending order of GEMM size),
 holding the accuracy loss of each step under a budget. Accuracy evaluations
 reuse the same trial seeds (common random numbers) so feasibility checks are
-deterministic.
+deterministic, and one search draws each fault stream once: its FaultConfig
+carries a draw memo.
 """
 
 from __future__ import annotations
@@ -189,11 +190,10 @@ def _mean_accuracy(
     profiles: dict[str, DeviationProfile],
     assignment: AlphaAssignment,
     cfg: SearchConfig,
-    base_seed: int,
+    fault_cfg: FaultConfig,
 ) -> float:
     strategy = strategy_from_name(cfg.strategy)
     thresholds = thresholds_from_assignment(profiles, assignment)
-    fault_cfg = FaultConfig(ber=cfg.ber, seed=base_seed)
     accs = [
         evaluate(model, dataset, fault_cfg, strategy, thresholds, trial=t).accuracy
         for t in range(cfg.trials_per_eval)
@@ -213,10 +213,11 @@ def binary_search_global_alpha(
     dataset. Returns (alpha, feasible)."""
     gemm_ids = [n.gemm_id for n in model.nodes]
     target = 1.0 - cfg.accuracy_budget
+    fault_cfg = FaultConfig(ber=cfg.ber, seed=base_seed, memo={})  # every alpha replays its streams
 
     def feasible(alpha):
         assignment = AlphaAssignment.uniform(gemm_ids, alpha)
-        return _mean_accuracy(model, dataset, profiles, assignment, cfg, base_seed) >= target
+        return _mean_accuracy(model, dataset, profiles, assignment, cfg, fault_cfg) >= target
 
     return bisect_max_feasible(feasible, cfg.resolution)
 
@@ -237,13 +238,14 @@ def greedy_gemmwise_search(
     else:
         order = list(range(len(nodes)))
     assignment = AlphaAssignment({n.gemm_id: (0.0, 0.0) for n in nodes})
+    fault_cfg = FaultConfig(ber=cfg.ber, seed=base_seed, memo={})  # every step replays its streams
     for i in order:
         gid = nodes[i].gemm_id
-        reference = _mean_accuracy(model, dataset, profiles, assignment, cfg, base_seed)
+        reference = _mean_accuracy(model, dataset, profiles, assignment, cfg, fault_cfg)
 
         def feasible(alpha):
             assignment.alphas[gid] = (alpha, alpha)
-            acc = _mean_accuracy(model, dataset, profiles, assignment, cfg, base_seed)
+            acc = _mean_accuracy(model, dataset, profiles, assignment, cfg, fault_cfg)
             return reference - acc < cfg.accuracy_budget
 
         best, _ = bisect_max_feasible(feasible, cfg.resolution)

@@ -72,13 +72,9 @@ def _uniform_ts(detect_thr: float, rc_thr: float) -> dict:
     return {gid: ThresholdSet(detect_thr, rc_thr, rc_thr) for gid in GEMM_IDS}
 
 
-def _mean_acc(ber, strategy_name, thresholds, trials):
+def _accuracy(cfg, strategy_name, thresholds, trial):
     strat = strategy_from_name(strategy_name)
-    cfg = FaultConfig(ber, BASE_SEED)
-    return [
-        evaluate(MODEL, DATASET, cfg, strat, thresholds, trial=t).accuracy
-        for t in trials
-    ]
+    return evaluate(MODEL, DATASET, cfg, strat, thresholds, trial=trial).accuracy
 
 
 @pytest.fixture(scope="module")
@@ -90,26 +86,35 @@ def sweep():
     observed deviation ranges span dozens of orders of magnitude, so
     interval-interpolated thresholds are all-or-nothing there and a direct
     grid is the honest way to calibrate this workload.
+
+    Every run of one (ber, trial) replays the same fault streams, so each
+    trial gets one FaultConfig with a draw memo, dropped after the trial.
     """
     candidates = ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (10.0, 10.0))
     tuned = {}
-    for ber in BERS:
-        scores = []
-        for cand in candidates:
-            accs = _mean_acc(ber, "opt", _uniform_ts(*cand), trials=range(1000, 1004))
-            scores.append((float(np.mean(accs)), cand))
-        tuned[ber] = max(scores)[1]
-
-    trials = range(20)
     accs = {}
-    for ber in BERS:
-        accs[(ber, "none")] = _mean_acc(ber, "none", None, trials)
-        accs[(ber, "baseline")] = _mean_acc(ber, "baseline", None, trials)
-        accs[(ber, "opt")] = _mean_acc(ber, "opt", _uniform_ts(*tuned[ber]), trials)
     high = BERS[-1]
-    accs[(high, "zero")] = _mean_acc(high, "opt", None, trials)
-    accs[(high, "average")] = _mean_acc(high, "opt-avg", None, trials)
-    accs[(high, "ignore")] = _mean_acc(high, "v2", None, trials)
+    for ber in BERS:
+        scores = {cand: [] for cand in candidates}
+        for t in range(1000, 1004):
+            cfg = FaultConfig(ber, BASE_SEED, memo={})
+            for cand in candidates:
+                scores[cand].append(_accuracy(cfg, "opt", _uniform_ts(*cand), t))
+        tuned[ber] = max((float(np.mean(s)), cand) for cand, s in scores.items())[1]
+
+        runs = {
+            "none": ("none", None),
+            "baseline": ("baseline", None),
+            "opt": ("opt", _uniform_ts(*tuned[ber])),
+        }
+        if ber == high:
+            runs.update(zero=("opt", None), average=("opt-avg", None), ignore=("v2", None))
+        for key in runs:
+            accs[(ber, key)] = []
+        for t in range(20):
+            cfg = FaultConfig(ber, BASE_SEED, memo={})
+            for key, (name, thresholds) in runs.items():
+                accs[(ber, key)].append(_accuracy(cfg, name, thresholds, t))
     return {"accs": accs, "tuned": tuned}
 
 
@@ -381,20 +386,16 @@ def test_overhead_reduction():
     )
     ts_greedy = thresholds_from_assignment(profiles, greedy)
 
-    def total_mults(name, ts):
-        total = 0
-        for t in range(10):
+    # the three runs of one trial replay the same fault streams: one memo per trial
+    runs = {"baseline": ("baseline", None), "global": ("v1", ts_global), "gemmwise": ("v1", ts_greedy)}
+    total_mults = dict.fromkeys(runs, 0)
+    for t in range(10):
+        cfg = FaultConfig(ber, BASE_SEED, memo={})
+        for key, (name, ts) in runs.items():
             counter = OpCounter()
-            evaluate(
-                MODEL, DATASET, FaultConfig(ber, BASE_SEED),
-                strategy_from_name(name), ts, counter, trial=t,
-            )
-            total += counter.abft_mults
-        return total
-
-    base = total_mults("baseline", None)
-    v1_global = total_mults("v1", ts_global)
-    v1_greedy = total_mults("v1", ts_greedy)
+            evaluate(MODEL, DATASET, cfg, strategy_from_name(name), ts, counter, trial=t)
+            total_mults[key] += counter.abft_mults
+    base, v1_global, v1_greedy = total_mults.values()
     elapsed = time.time() - t0
     ok = feasible and alpha_g > 0 and v1_global < base and v1_greedy <= v1_global
     _verdict(

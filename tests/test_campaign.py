@@ -127,6 +127,18 @@ def test_pool_capped_at_task_count(pool_sizes):
     assert rows == run_campaign(config, workers=1)
 
 
+@pytest.mark.parametrize("trials, pool", [(1, []), (2, [2])])
+def test_pool_capped_at_ber_trial_count(pool_sizes, default_model, small_dataset, trials, pool):
+    # one task per (ber, trial) runs every strategy; a single task runs in-process
+    profiles = {1e-5: profile_all(default_model, small_dataset.inputs, 1e-5, 2, 7)}
+    config = make_config(bers=[1e-5], strategies=["none", "baseline", "opt-avg"], trials=trials,
+                         profiles=profiles, alphas=0.0)
+    rows = run_campaign(config, workers=8)
+    assert pool_sizes == pool
+    assert len(rows) == 3 * trials
+    assert rows == run_campaign(config, workers=1)
+
+
 def test_pool_workers_share_the_parent_context(pool_sizes, monkeypatch):
     built = []
 

@@ -141,12 +141,22 @@ def test_search_profiles_must_cover_the_model(search_argv, config_path, capsys):
         "msd_min": 0.0, "msd_max": math.nan, "rcsd_min": 0.0, "rcsd_max": 1.0, "sample_count": 1}}}),
     ("search", "resolution", math.nan),
     ("search", "trials_per_eval", 1.5),
+    ("faults", "scope", ["nope"]),
+    ("faults", "scope", ["layer0.ff.in", "nope"]),
+    ("faults", "scope", []),
+    ("faults", "bers", ["1e-5"]),
+    ("faults", "bers", [True]),
+    ("abft", "alphas", True),
+    ("faults", "bers", [1e-5, 1e-5]),
+    ("abft", "strategies", ["none", "none"]),
 ], ids=["ber-1.5", "ber-negative", "alpha-1.5", "alpha-pair-2", "alpha-abc",
         "profile-min-above-max", "n_samples-0", "scope-5", "format-xml",
         "search-strategy-v9", "search-trials_per_eval-0", "search-ber-1.5",
         "num_layers-2.5", "weight_seed-1.5", "weight_seed-abc", "weight_seed-negative",
         "data_seed-negative", "data_seed-2.5", "n_samples-2.5", "trials-2.5", "base_seed-2.5",
-        "profile-nan-bound", "search-resolution-nan", "search-trials_per_eval-1.5"])
+        "profile-nan-bound", "search-resolution-nan", "search-trials_per_eval-1.5",
+        "scope-nope", "scope-one-unknown", "scope-empty", "ber-string", "ber-true", "alpha-true",
+        "bers-duplicate", "strategies-duplicate"])
 def test_config_mistakes_exit_1_before_any_forward(config_path, tmp_path, capsys, section, key, value):
     raw = json.loads(config_path.read_text())
     raw[section][key] = value

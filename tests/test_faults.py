@@ -166,3 +166,69 @@ def test_fault_config_validation_and_scope():
     assert cfg.restricted("a").ber == 0.5
     unscoped = FaultConfig(0.5, 0)
     assert unscoped.restricted("anything") is unscoped
+
+
+class _NoGen:
+    """Stand-in generator for a stream whose draws must come from a memo."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the generator was asked for {name}")
+
+
+def _faulty(A, B, cfg, stream):
+    rec = FaultRecord()
+    C = faulty_gemm(A, B, cfg, stream, record=rec)
+    return C.view(np.uint32).copy(), rec.error_cells, rec.flips
+
+
+def _operands(seed, m, k, n):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1, 1, (m, k)).astype(np.float32), rng.uniform(-1, 1, (k, n)).astype(np.float32)
+
+
+def test_memo_hit_never_calls_the_generator():
+    A, B = _operands(6, 8, 9, 7)
+    cfg = FaultConfig(3e-3, 4, memo={})
+    first = _faulty(A, B, cfg, RngStream(4, "g", 1, 2))
+    assert first[2] > 0 and len(cfg.memo) == 1
+    stream = RngStream(4, "g", 1, 2)
+    stream.gen = _NoGen()
+    again = _faulty(A, B, cfg, stream)
+    for got, want in zip(again, first):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_memo_keys_on_the_whole_stream_key_and_the_shape():
+    # every call draws what a fresh call without a memo draws
+    cfg = FaultConfig(3e-3, 4, memo={})
+    cases = [
+        (_operands(7, 8, 9, 7), 4),
+        (_operands(8, 8, 9, 5), 4),  # same stream key, another n
+        (_operands(9, 8, 10, 7), 4),  # same stream key, another k
+        (_operands(7, 8, 9, 7), 5),  # a stream seed that is not cfg.seed
+    ]
+    for (A, B), seed in cases:
+        got = _faulty(A, B, cfg, RngStream(seed, "g", 1, 2))
+        want = _faulty(A, B, FaultConfig(3e-3, 4), RngStream(seed, "g", 1, 2))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    assert len(cfg.memo) == len(cases)
+
+
+def test_memoized_draws_are_read_only():
+    A, B = _operands(10, 8, 9, 7)
+    cfg = FaultConfig(3e-3, 4, memo={})
+    faulty_gemm(A, B, cfg, RngStream(4, "g"))
+    faulty_gemm(*_operands(11, 1, 1, 1), cfg, RngStream(4, "h"))  # 32 bits: draws no flip
+    drawn = [v for v in cfg.memo.values() if v is not None]
+    assert len(drawn) == 1 and None in cfg.memo.values()
+    for array in drawn[0]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_memo_is_off_by_default_and_not_compared():
+    assert FaultConfig(1e-5, 1).memo is None
+    assert FaultConfig(1e-5, 1, memo={"x": None}) == FaultConfig(1e-5, 1)
+    assert "memo" not in repr(FaultConfig(1e-5, 1, memo={}))

@@ -5,6 +5,7 @@ from ftgemm.faults import FaultConfig, RngStream
 from ftgemm.abft import ThresholdSet, protect_gemm, strategy_from_name
 from ftgemm.tensor_core import OpCounter
 from ftgemm.workload import (
+    Dataset,
     ModelConfig,
     build_model,
     evaluate,
@@ -158,3 +159,50 @@ def test_evaluate_aggregates(default_model, small_dataset):
     assert stats.detections_triggered > 0
     assert stats.exact_corrected + stats.ignored > 0
     assert stats.approx_corrected == 0
+
+
+MEMO_STRATEGIES = ("none", "baseline", "opt", "opt-avg")
+
+
+@pytest.mark.parametrize("ber, scope", [
+    (1e-5, None), (1e-4, None), (1e-4, frozenset({"layer0.ff.in", "layer1.attn.head0.score"})),
+])
+def test_shared_draw_memo_matches_fresh_configs(default_model, small_dataset, ber, scope):
+    data = Dataset(small_dataset.inputs[:4], small_dataset.labels[:4])
+    shared = FaultConfig(ber, 41, scope=scope, memo={})
+    for trial in range(2):
+        for name in MEMO_STRATEGIES:
+            got_counter, want_counter = OpCounter(), OpCounter()
+            strategy = strategy_from_name(name)
+            got = evaluate(default_model, data, shared, strategy, None, got_counter, trial=trial)
+            want = evaluate(default_model, data, FaultConfig(ber, 41, scope=scope), strategy,
+                            None, want_counter, trial=trial)
+            assert (got, got_counter) == (want, want_counter)
+    # one entry per (trial, sample, node) that the scope leaves a nonzero BER
+    nodes = len(default_model.nodes) if scope is None else len(scope)
+    assert len(shared.memo) == 2 * len(data.inputs) * nodes
+
+
+def test_shared_draw_memo_forward_bits_and_records(default_model, small_dataset):
+    x = small_dataset.inputs[5]
+    shared = FaultConfig(1e-4, 43, memo={})
+
+    def run(cfg, strategy):
+        seen = {}
+
+        def observe(node, A, B, C, rec):
+            seen[node.gemm_id] = (rec.error_cells.copy(), rec.flips)
+
+        logits, _ = forward(default_model, x, cfg, strategy, trial=3, sample=5, observer=observe)
+        return logits.view(np.uint32).copy(), seen
+
+    for name in MEMO_STRATEGIES:
+        strategy = strategy_from_name(name)
+        got_logits, got_records = run(shared, strategy)
+        want_logits, want_records = run(FaultConfig(1e-4, 43), strategy)
+        np.testing.assert_array_equal(got_logits, want_logits)
+        assert got_records.keys() == want_records.keys()
+        for gid, (cells, flips) in want_records.items():
+            np.testing.assert_array_equal(got_records[gid][0], cells)
+            assert got_records[gid][1] == flips
+    assert sum(flips for _, flips in want_records.values()) > 0
