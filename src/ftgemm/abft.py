@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
-from .tensor_core import OpCounter, ShapeError, as_matrix
+from .tensor_core import ConfigError, OpCounter, ShapeError, as_matrix
 
 # Relative tolerance absorbing float32 round-off: a deviation only counts as
 # a fault when it exceeds REL_EPS times the absolute-value accumulation
@@ -51,7 +51,7 @@ def strategy_from_name(name: str) -> AbftStrategy | None:
     try:
         return STRATEGY_PRESETS[name]
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown strategy {name!r}; expected one of "
             f"{['none', *STRATEGY_PRESETS]}"
         ) from None

@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .abft import STRATEGY_PRESETS, ThresholdSet, localize, strategy_from_name
 from .faults import FaultConfig
-from .tensor_core import OpCounter
+from .tensor_core import ConfigError, OpCounter, check_int, check_real
 from .thresholds import (
     AlphaAssignment,
     DeviationProfile,
@@ -23,7 +22,7 @@ from .thresholds import (
     sample_deviations,
     thresholds_from_assignment,
 )
-from .workload import Dataset, Model, ModelConfig, build_model, check_int, evaluate, generate_dataset
+from .workload import Dataset, Model, ModelConfig, build_model, evaluate, generate_dataset
 
 RESULT_FIELDS = (
     "ber",
@@ -43,10 +42,6 @@ RESULT_FIELDS = (
 _APPROX_STRATEGIES = tuple(
     name for name, s in STRATEGY_PRESETS.items() if s.detection == "AED" or s.localization == "AEL"
 )
-
-
-class ConfigError(ValueError):
-    """Invalid or incomplete campaign configuration."""
 
 
 @dataclass
@@ -70,26 +65,24 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.bers:
             raise ConfigError("faults.bers must be a nonempty list")
-        if not all(0.0 <= ber <= 1.0 for ber in self.bers):
-            raise ConfigError(f"faults.bers must lie in [0, 1], got {self.bers}")
+        self.bers = [check_real("faults.bers entry", ber, 0.0, 1.0) for ber in self.bers]
         if not self.strategies:
             raise ConfigError("abft.strategies must be a nonempty list")
-        try:
-            check_int("dataset.n_samples", self.n_samples, 1)
-            check_int("dataset.data_seed", self.data_seed, 0)  # seeds default_rng
-            check_int("faults.trials", self.trials, 1)
-            check_int("faults.base_seed", self.base_seed)
-            for name in self.strategies:
-                strategy_from_name(name)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_int("dataset.n_samples", self.n_samples, 1)
+        check_int("dataset.data_seed", self.data_seed, 0)  # seeds default_rng
+        check_int("faults.trials", self.trials, 1)
+        check_int("faults.base_seed", self.base_seed)
+        for name in self.strategies:
+            strategy_from_name(name)
         for where, entries in (("faults.bers", self.bers), ("abft.strategies", self.strategies)):
             if len(set(entries)) != len(entries):
                 raise ConfigError(f"{where} must not repeat an entry, got {entries}")
-        if isinstance(self.alphas, (int, float)) and not 0.0 <= self.alphas <= 1.0:
-            raise ConfigError(f"a global abft.alphas must lie in [0, 1], got {self.alphas!r}")
+        if self.alphas is not None and not isinstance(self.alphas, AlphaAssignment):
+            self.alphas = check_real("abft.alphas", self.alphas, 0.0, 1.0)
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {self.output_format!r}")
+        if not isinstance(self.output_path, str):
+            raise ConfigError(f"output.results must be a path string, got {self.output_path!r}")
         needs_thresholds = [s for s in self.strategies if s in _APPROX_STRATEGIES]
         if needs_thresholds:
             if self.alphas is None:
@@ -109,16 +102,9 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _real(where: str, value) -> float:
-    """value as a float; ConfigError unless it is a real number, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
 def config_from_dict(raw: dict) -> CampaignConfig:
-    """Build a CampaignConfig from the JSON config-file structure; any
-    mistake in it is a ConfigError."""
+    """Build a CampaignConfig from the JSON config-file structure. The config
+    types check each value; a malformed shape is a ConfigError here."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     try:
@@ -132,14 +118,12 @@ def config_from_dict(raw: dict) -> CampaignConfig:
         alphas = abft_sec.get("alphas")
         if isinstance(alphas, dict):
             alphas = AlphaAssignment.from_dict(alphas)
-        elif alphas is not None:
-            alphas = _real("abft.alphas", alphas)
         scope = faults_sec.get("scope")
         return CampaignConfig(
             model=ModelConfig(**model_sec),
             n_samples=data_sec.get("n_samples", 100),
             data_seed=_require(data_sec, "data_seed", "dataset"),
-            bers=[_real("faults.bers entry", b) for b in _require(faults_sec, "bers", "faults")],
+            bers=_require(faults_sec, "bers", "faults"),
             strategies=list(_require(abft_sec, "strategies", "abft")),
             trials=faults_sec.get("trials", 1),
             base_seed=_require(faults_sec, "base_seed", "faults"),
@@ -150,9 +134,7 @@ def config_from_dict(raw: dict) -> CampaignConfig:
             output_path=out_sec.get("results", "results.csv"),
             output_format=out_sec.get("format", "csv"),
         )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -198,7 +180,7 @@ def _thresholds(config: CampaignConfig, model: Model) -> dict[float, dict[str, T
         return thresholds
     assignment = config.alphas
     if not isinstance(assignment, AlphaAssignment):
-        assignment = AlphaAssignment.uniform(gemm_ids, float(assignment))
+        assignment = AlphaAssignment.uniform(gemm_ids, assignment)
     elif assignment.alphas.keys() != gemm_ids:
         wrong = sorted(gemm_ids ^ assignment.alphas.keys())
         raise ConfigError(f"abft.alphas must name exactly the model's GEMMs; missing or unknown: {wrong}")
@@ -266,8 +248,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> list[dict]:
     The unit of work is one (ber, trial), which runs every strategy. Runs
     in-process with one worker, else in a pool of at most one process per
     (ber, trial)."""
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_int("workers", workers, 1)
     tasks = [(ber, t) for ber in config.bers for t in range(config.trials)]
     workers = min(workers, len(tasks))
     ctx = _build_context(config)  # a ConfigError here, not a broken pool

@@ -1,6 +1,6 @@
 """Command-line interface for profiling, threshold search, campaign runs,
-and deviation statistics. Exit codes: 0 success, 1 config error, 2 runtime
-error."""
+and deviation statistics. Exit codes: 0 success, 1 config error (a bad value
+in the config or a flag, caught before any forward), 2 runtime error."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import campaign as camp
-from .campaign import ConfigError
+from .tensor_core import ConfigError, check_int, check_real
 from .thresholds import AlphaAssignment, binary_search_global_alpha, greedy_gemmwise_search, profile_all
 from .workload import build_model, generate_dataset
 
@@ -19,12 +19,6 @@ def _ctx(config_path: str):
     config = camp.load_config(config_path)
     model = build_model(config.model)
     return config, model
-
-
-def _trials(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    return args.trials
 
 
 def cmd_gemms(args) -> int:
@@ -38,10 +32,10 @@ def cmd_gemms(args) -> int:
 
 def cmd_profile(args) -> int:
     config, model = _ctx(args.config)
-    trials = _trials(args)
+    check_int("--trials", args.trials, 1)
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
     profiles = {
-        ber: profile_all(model, dataset.inputs, ber, trials, config.base_seed)
+        ber: profile_all(model, dataset.inputs, ber, args.trials, config.base_seed)
         for ber in config.bers
         if ber > 0
     }
@@ -60,10 +54,7 @@ def cmd_search(args) -> int:
         overrides["ber"] = args.ber
     if args.order is not None:
         overrides["order"] = "ascending_size" if args.order == "ascending" else "inorder"
-    try:
-        scfg = dataclasses.replace(config.search, **overrides)  # validates the result
-    except ValueError as exc:
-        raise ConfigError(f"bad search override: {exc}") from None
+    scfg = dataclasses.replace(config.search, **overrides)  # validates the result
     profiles = camp.profiles_at(config, model, scfg.ber)
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
     if args.mode == "global":
@@ -86,7 +77,10 @@ def cmd_run(args) -> int:
     if args.strategy:
         overrides["strategies"] = args.strategy
     if args.ber:
-        overrides["bers"] = [float(b) for b in args.ber]
+        try:
+            overrides["bers"] = [float(b) for b in args.ber]
+        except ValueError:
+            raise ConfigError(f"--ber takes numbers, got {args.ber}") from None
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.out:
@@ -100,13 +94,11 @@ def cmd_run(args) -> int:
 
 def cmd_stats(args) -> int:
     config, model = _ctx(args.config)
-    trials = _trials(args)
-    ber = args.ber if args.ber is not None else config.bers[0]
-    if not 0.0 <= ber <= 1.0:
-        raise ConfigError(f"--ber must be in [0, 1], got {ber}")
+    check_int("--trials", args.trials, 1)
+    ber = config.bers[0] if args.ber is None else check_real("--ber", args.ber, 0.0, 1.0)
     selector = camp.select_gemms(model, args.gemms.split(",") if args.gemms else "largest_per_layer")
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
-    report = camp.compute_stats(model, dataset.inputs, ber, trials, config.base_seed, selector)
+    report = camp.compute_stats(model, dataset.inputs, ber, args.trials, config.base_seed, selector)
     payload = report.to_dict()
     if args.kind == "multierror":
         payload.pop("histograms")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor_core import ShapeError, as_matrix, kchain
+from .tensor_core import ShapeError, as_matrix, check_real, kchain
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,8 +36,7 @@ class FaultConfig:
     memo: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.ber <= 1.0:
-            raise ValueError(f"ber must be in [0, 1], got {self.ber}")
+        check_real("ber", self.ber, 0.0, 1.0)
 
     def restricted(self, gemm_id: str) -> "FaultConfig":
         """Config as seen by one GEMM node: zero BER when out of scope."""

@@ -15,6 +15,8 @@ would sum pairwise.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +25,33 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand dimensions are incompatible."""
+
+
+class ConfigError(ValueError):
+    """An invalid config value, from a config file, a flag or a config type's
+    field. Every config type raises it through check_int and check_real."""
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """ConfigError unless value is an integer (not a bool), >= minimum if given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """value as a float; ConfigError unless it is a real number (not a bool or
+    a string) that a float holds finitely, in [lo, hi]."""
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    # math.isfinite overflows on an int beyond float range; an int compares exactly
+    if isinstance(value, numbers.Integral):
+        real = real and abs(value) <= sys.float_info.max
+    if not (real and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not lo <= value <= hi:
+        raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
+    return float(value)
 
 
 class GemmShape(NamedTuple):

@@ -20,7 +20,8 @@ import numpy as np
 
 from .abft import REL_EPS, ThresholdSet, compute_sum_profiles, detect, precompute_checksums, strategy_from_name
 from .faults import FaultConfig
-from .workload import Dataset, Model, check_int, evaluate, forward
+from .tensor_core import ConfigError, check_int, check_real
+from .workload import Dataset, Model, evaluate, forward
 
 
 @dataclass
@@ -35,11 +36,11 @@ class DeviationProfile:
     sample_count: int
 
     def __post_init__(self):
-        check_int("sample_count", self.sample_count, 1)
-        if not all(map(math.isfinite, (self.msd_min, self.msd_max, self.rcsd_min, self.rcsd_max))):
-            raise ValueError("profile bounds must be finite")
+        for name in ("msd_min", "msd_max", "rcsd_min", "rcsd_max"):
+            setattr(self, name, check_real(f"profile {name}", getattr(self, name)))
+        check_int("profile sample_count", self.sample_count, 1)
         if self.msd_min > self.msd_max or self.rcsd_min > self.rcsd_max:
-            raise ValueError("profile min must not exceed max")
+            raise ConfigError("profile min must not exceed max")
 
 
 @dataclass
@@ -49,9 +50,13 @@ class AlphaAssignment:
     alphas: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for gid, (ad, al) in self.alphas.items():
-            if not (0.0 <= ad <= 1.0 and 0.0 <= al <= 1.0):
-                raise ValueError(f"alpha out of range for {gid}: {(ad, al)}")
+        for gid, pair in self.alphas.items():
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ConfigError(f"abft.alphas[{gid!r}] must be a pair of alphas, got {pair!r}")
+        self.alphas = {
+            gid: tuple(check_real(f"abft.alphas[{gid!r}]", a, 0.0, 1.0) for a in pair)
+            for gid, pair in self.alphas.items()
+        }
 
     @classmethod
     def uniform(cls, gemm_ids, alpha: float):
@@ -62,7 +67,7 @@ class AlphaAssignment:
 
     @classmethod
     def from_dict(cls, d):
-        return cls({gid: (float(p[0]), float(p[1])) for gid, p in d.items()})
+        return cls(d)
 
     def save(self, path):
         with open(path, "w") as f:
@@ -79,23 +84,21 @@ class SearchConfig:
     strategy: str = "opt"
 
     def __post_init__(self):
-        if not 0.0 <= self.accuracy_budget <= 1.0:
-            raise ValueError("accuracy_budget must be in [0, 1]")
-        check_int("trials_per_eval", self.trials_per_eval, 1)
-        if not 0.0 <= self.ber <= 1.0:
-            raise ValueError(f"search ber must be in [0, 1], got {self.ber}")
-        if not 0.0 < self.resolution < math.inf:
-            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
+        self.accuracy_budget = check_real("search.accuracy_budget", self.accuracy_budget, 0.0, 1.0)
+        check_int("search.trials_per_eval", self.trials_per_eval, 1)
+        self.ber = check_real("search.ber", self.ber, 0.0, 1.0)
+        self.resolution = check_real("search.resolution", self.resolution, 0.0)
+        if self.resolution == 0.0:
+            raise ConfigError("search.resolution must be > 0")
         if self.order not in ("ascending_size", "inorder"):
-            raise ValueError(f"unknown search order {self.order!r}")
-        strategy_from_name(self.strategy)  # ValueError on an unknown name
+            raise ConfigError(f"unknown search.order {self.order!r}")
+        strategy_from_name(self.strategy)
 
 
 def alpha_to_threshold(profile_min: float, profile_max: float, alpha: float) -> float:
     """Threshold cutting off the lowest alpha fraction of [min, max],
     never below the float32 round-off floor."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_real("alpha", alpha, 0.0, 1.0)
     if profile_min > profile_max:
         raise ValueError("profile min must not exceed max")
     return max(REL_EPS, profile_min + (profile_max - profile_min) * alpha)
@@ -108,8 +111,7 @@ def sample_deviations(model: Model, inputs, ber: float, trials: int, seed: int):
     (node, msd, SumProfiles, FaultRecord) for every GEMM node of every
     trial, holding one trial's observations at a time.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_int("trials", trials, 1)
     cfg = FaultConfig(ber=ber, seed=seed)
     seen = []
 

@@ -9,22 +9,13 @@ defined at desk scale.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .abft import STRICT, AbftStrategy, ThresholdSet, protect_gemm
 from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
-from .tensor_core import GemmShape, OpCounter, gelu, gemm, layernorm_rows, softmax_rows
-
-
-def check_int(name: str, value, minimum: int | None = None) -> None:
-    """ValueError unless value is an integer (not a bool), >= minimum if given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+from .tensor_core import ConfigError, GemmShape, OpCounter, check_int, gelu, gemm, layernorm_rows, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -41,7 +32,7 @@ class ModelConfig:
         for f in fields(self):  # dimensions >= 1; the seed seeds default_rng
             check_int(f"model.{f.name}", getattr(self, f.name), 0 if f.name == "weight_seed" else 1)
         if self.embed_dim % self.num_heads:
-            raise ValueError("embed_dim must be divisible by num_heads")
+            raise ConfigError("model.embed_dim must be divisible by model.num_heads")
 
     @property
     def head_dim(self) -> int:
@@ -191,8 +182,7 @@ class Dataset:
 
 
 def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_int("n_samples", n_samples, 1)
     mc = model.cfg
     rng = np.random.default_rng(data_seed)
     inputs = [

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ftgemm.abft import strategy_from_name
 from ftgemm.campaign import (
     CampaignConfig,
     ConfigError,
@@ -16,7 +17,8 @@ from ftgemm.campaign import (
     run_campaign,
     select_gemms,
 )
-from ftgemm.thresholds import AlphaAssignment, profile_all
+from ftgemm.faults import FaultConfig
+from ftgemm.thresholds import AlphaAssignment, DeviationProfile, SearchConfig, profile_all
 from ftgemm.workload import ModelConfig, build_model
 
 
@@ -225,6 +227,8 @@ def test_config_from_dict_and_validation():
     }
     config = config_from_dict(raw)
     assert config.bers == [1e-6]
+    # a CSV writes the BER as stored: 0.0, not 0
+    assert repr(config_from_dict({**raw, "faults": {"bers": [0], "base_seed": 3}}).bers) == "[0.0]"
     for missing in ("weight_seed", "data_seed", "base_seed"):
         bad = json.loads(json.dumps(raw))
         for sec in bad.values():
@@ -235,6 +239,20 @@ def test_config_from_dict_and_validation():
         config_from_dict({**raw, "abft": {"strategies": ["bogus"]}})
     with pytest.raises(ConfigError):
         config_from_dict({**raw, "faults": {"bers": [], "base_seed": 3}})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FaultConfig(ber=2, seed=0),
+    lambda: ModelConfig(embed_dim=33),
+    lambda: SearchConfig(order="x"),
+    lambda: AlphaAssignment({"g": (2, 0)}),
+    lambda: DeviationProfile(0.0, True, 0.0, 1.0, 1),
+    lambda: strategy_from_name("v9"),
+], ids=["FaultConfig", "ModelConfig", "SearchConfig", "AlphaAssignment", "DeviationProfile",
+        "strategy_from_name"])
+def test_config_types_raise_config_error_themselves(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_profiles_roundtrip(default_model, small_dataset):

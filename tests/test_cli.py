@@ -7,6 +7,9 @@ from ftgemm.cli import main
 from ftgemm.thresholds import AlphaAssignment
 from ftgemm.workload import ModelConfig, build_model
 
+# the GEMMs of the model of `config_path`
+GEMM_IDS = [n.gemm_id for n in build_model(ModelConfig(weight_seed=11, num_layers=1)).nodes]
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -149,6 +152,16 @@ def test_search_profiles_must_cover_the_model(search_argv, config_path, capsys):
     ("abft", "alphas", True),
     ("faults", "bers", [1e-5, 1e-5]),
     ("abft", "strategies", ["none", "none"]),
+    ("abft", "alphas", {gid: ["0.5", True] for gid in GEMM_IDS}),
+    ("abft", "alphas", {gid: [0.5] for gid in GEMM_IDS}),
+    ("faults", None, 5),
+    ("dataset", None, []),
+    ("abft", "profiles", 5),
+    ("abft", "profiles", {"1e-05": 5}),
+    ("abft", "profiles", {"1e-05": {"classifier": {
+        "msd_min": 0.0, "msd_max": True, "rcsd_min": 0.0, "rcsd_max": 1.0, "sample_count": 1}}}),
+    ("search", "ber", True),
+    ("output", "results", 57),
 ], ids=["ber-1.5", "ber-negative", "alpha-1.5", "alpha-pair-2", "alpha-abc",
         "profile-min-above-max", "n_samples-0", "scope-5", "format-xml",
         "search-strategy-v9", "search-trials_per_eval-0", "search-ber-1.5",
@@ -156,10 +169,15 @@ def test_search_profiles_must_cover_the_model(search_argv, config_path, capsys):
         "data_seed-negative", "data_seed-2.5", "n_samples-2.5", "trials-2.5", "base_seed-2.5",
         "profile-nan-bound", "search-resolution-nan", "search-trials_per_eval-1.5",
         "scope-nope", "scope-one-unknown", "scope-empty", "ber-string", "ber-true", "alpha-true",
-        "bers-duplicate", "strategies-duplicate"])
+        "bers-duplicate", "strategies-duplicate", "alpha-pair-string-and-true", "alpha-pair-short",
+        "faults-5", "dataset-list", "profiles-5", "profiles-ber-5", "profile-true-bound", "search-ber-true",
+        "results-57"])
 def test_config_mistakes_exit_1_before_any_forward(config_path, tmp_path, capsys, section, key, value):
     raw = json.loads(config_path.read_text())
-    raw[section][key] = value
+    if key is None:
+        raw[section] = value
+    else:
+        raw[section][key] = value
     config_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(config_path)]) == 1
     assert "config error" in capsys.readouterr().err
@@ -172,7 +190,9 @@ def test_config_mistakes_exit_1_before_any_forward(config_path, tmp_path, capsys
     ("stats", "--trials", "0"),
     ("profile", "--trials", "0"),
     ("stats", "--gemms", "nope"),
-], ids=["stats-ber-2", "stats-ber-negative", "stats-trials-0", "profile-trials-0", "stats-gemms-nope"])
+    ("run", "--ber", "abc"),
+], ids=["stats-ber-2", "stats-ber-negative", "stats-trials-0", "profile-trials-0", "stats-gemms-nope",
+        "run-ber-abc"])
 def test_override_mistakes_exit_1_before_any_forward(
     config_path, tmp_path, capsys, monkeypatch, command, flag, value
 ):

@@ -1,8 +1,7 @@
 """No module in src/ or tests/ imports a name it never uses, and no module in
 src/ defines a module-level private name it never reads.
 
-No linter is installed, so these AST scans stand in for one. Package
-`__init__.py` files are skipped: their imports are re-exports.
+No linter is installed, so these AST scans stand in for one.
 """
 
 import ast
@@ -11,9 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py"))
 SRC_MODULES = [p for p in MODULES if (ROOT / "src") in p.parents]
 
 

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import gemm_oracle, layernorm_rows_oracle, softmax_rows_oracle
 from ftgemm.tensor_core import (
+    ConfigError,
     ShapeError,
+    check_real,
     gelu,
     gemm,
     kchain,
@@ -173,3 +177,11 @@ def test_activation_nan_propagates():
     assert np.isnan(softmax_rows(X)).any()
     assert np.isnan(gelu(X)).any()
 
+
+def test_check_real_returns_a_float_or_raises_config_error():
+    assert issubclass(ConfigError, ValueError)
+    assert check_real("x", 0) == 0.0 and type(check_real("x", 0)) is float
+    assert check_real("x", np.float32(0.5), 0.0, 1.0) == 0.5
+    for bad in (True, "0.5", None, [0.5], math.nan, math.inf, -math.inf, 10**400, 1.5, -0.1):
+        with pytest.raises(ConfigError):
+            check_real("x", bad, 0.0, 1.0)
