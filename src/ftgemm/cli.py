@@ -21,6 +21,18 @@ def _ctx(config_path: str):
     return config, model
 
 
+def _number(flag: str, text, check=check_real, *bounds):
+    """A numeric flag as the number that check (check_int or check_real)
+    accepts within bounds. Text that is no number fails the check with a
+    ConfigError, as a config value would."""
+    try:
+        value = int(text) if check is check_int else float(text)
+    except ValueError:
+        value = text
+    check(flag, value, *bounds)
+    return value
+
+
 def cmd_gemms(args) -> int:
     _, model = _ctx(args.config)
     print(f"{'gemm_id':<28} {'m':>5} {'k':>5} {'n':>5} {'macs':>9}")
@@ -32,10 +44,10 @@ def cmd_gemms(args) -> int:
 
 def cmd_profile(args) -> int:
     config, model = _ctx(args.config)
-    check_int("--trials", args.trials, 1)
+    trials = _number("--trials", args.trials, check_int, 1)
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
     profiles = {
-        ber: profile_all(model, dataset.inputs, ber, args.trials, config.base_seed)
+        ber: profile_all(model, dataset.inputs, ber, trials, config.base_seed)
         for ber in config.bers
         if ber > 0
     }
@@ -49,9 +61,9 @@ def cmd_search(args) -> int:
     config, model = _ctx(args.config)
     overrides = {}
     if args.budget is not None:
-        overrides["accuracy_budget"] = args.budget
+        overrides["accuracy_budget"] = _number("--budget", args.budget)
     if args.ber is not None:
-        overrides["ber"] = args.ber
+        overrides["ber"] = _number("--ber", args.ber)
     if args.order is not None:
         overrides["order"] = "ascending_size" if args.order == "ascending" else "inorder"
     scfg = dataclasses.replace(config.search, **overrides)  # validates the result
@@ -77,16 +89,13 @@ def cmd_run(args) -> int:
     if args.strategy:
         overrides["strategies"] = args.strategy
     if args.ber:
-        try:
-            overrides["bers"] = [float(b) for b in args.ber]
-        except ValueError:
-            raise ConfigError(f"--ber takes numbers, got {args.ber}") from None
+        overrides["bers"] = [_number("--ber", b) for b in args.ber]
     if args.trials is not None:
-        overrides["trials"] = args.trials
+        overrides["trials"] = _number("--trials", args.trials, check_int)
     if args.out:
         overrides["output_path"] = args.out
     config = dataclasses.replace(config, **overrides)  # validates the result
-    rows = camp.run_campaign(config, workers=args.workers)
+    rows = camp.run_campaign(config, workers=_number("--workers", args.workers, check_int))
     camp.emit(rows, config.output_format, config.output_path)
     print(f"wrote {len(rows)} result rows to {config.output_path}")
     return 0
@@ -94,11 +103,11 @@ def cmd_run(args) -> int:
 
 def cmd_stats(args) -> int:
     config, model = _ctx(args.config)
-    check_int("--trials", args.trials, 1)
-    ber = config.bers[0] if args.ber is None else check_real("--ber", args.ber, 0.0, 1.0)
+    trials = _number("--trials", args.trials, check_int, 1)
+    ber = config.bers[0] if args.ber is None else _number("--ber", args.ber, check_real, 0.0, 1.0)
     selector = camp.select_gemms(model, args.gemms.split(",") if args.gemms else "largest_per_layer")
     dataset = generate_dataset(model, config.n_samples, config.data_seed)
-    report = camp.compute_stats(model, dataset.inputs, ber, args.trials, config.base_seed, selector)
+    report = camp.compute_stats(model, dataset.inputs, ber, trials, config.base_seed, selector)
     payload = report.to_dict()
     if args.kind == "multierror":
         payload.pop("histograms")
@@ -122,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="emit per-GEMM deviation profiles")
     p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", default=200)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_profile)
 
@@ -130,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=["global", "gemmwise"], default="global")
     p.add_argument("--order", choices=["inorder", "ascending"], default=None)
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--ber", type=float, default=None)
+    p.add_argument("--budget", default=None)
+    p.add_argument("--ber", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_search)
 
@@ -139,16 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--strategy", nargs="+", default=None)
     p.add_argument("--ber", nargs="+", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--trials", default=None)
+    p.add_argument("--workers", default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("stats", help="deviation distribution statistics")
     p.add_argument("--config", required=True)
     p.add_argument("--kind", choices=["msd", "rcsd", "multierror", "all"], default="all")
-    p.add_argument("--ber", type=float, default=None)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--ber", default=None)
+    p.add_argument("--trials", default=100)
     p.add_argument("--gemms", default=None, help="comma-separated gemm ids")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_stats)

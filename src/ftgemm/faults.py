@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,10 +30,11 @@ class FaultConfig:
     ber: float
     seed: int
     scope: frozenset | None = None  # None = every GEMM is subject to injection
-    # Draw memo: faulty_gemm's draws by (*stream.key, m, n, k). Give a config
-    # one only where the same streams are replayed (every strategy of one
-    # campaign trial, every evaluate of one search); it grows with the
-    # streams drawn and lives as long as the config.
+    # Draw memo: faulty_gemm's ReplayPlans (None for no flip) by (*stream.key,
+    # m, n, k), so each stream is drawn and planned once. Give a config one
+    # only where the same streams are replayed (every strategy of one campaign
+    # trial, every evaluate of one search); it grows with the streams drawn
+    # and lives as long as the config.
     memo: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -64,7 +66,7 @@ class RngStream:
 class FaultRecord:
     """Ground truth of one faulty GEMM: which output cells took any flip."""
 
-    error_cells: np.ndarray | None = None  # bool mask, shape (m, n)
+    error_cells: np.ndarray | None = None  # bool mask, shape (m, n); may be read-only
     flips: int = 0
 
 
@@ -97,6 +99,111 @@ def _draw_flips(gen: np.random.Generator, ber: float, nbits: int, k: int):
     return np.repeat(classes, counts[classes]), positions
 
 
+class ReplayPlan(NamedTuple):
+    """The index work of replaying one draw of flips, done once (see _plan).
+
+    It reads no value, so one plan serves every GEMM of its shape that
+    replays the same draw; its arrays are read-only. P is the C-ordered
+    (k, faulty.size) array of the flipped cells' products, one column per
+    cell, and a flat index into it is step * faulty.size + column.
+    """
+
+    cells: np.ndarray  # bool (m, n): the cells that took any flip
+    flips: int
+    faulty: np.ndarray  # their flat output indices i*n + j, ascending
+    mul_at: np.ndarray  # flat index into P of each multiply flip
+    mul_bits: np.ndarray  # its bit, as a uint32 word
+    # per round: (columns, gather base, stride offsets, xor words, last rows)
+    rounds: tuple
+
+    def sums(self, P: np.ndarray) -> np.ndarray:
+        """Final sums of the flipped k-chains, given their clean products P
+        (modified in place).
+
+        Multiply flips are xor-ed into P, and np.add.accumulate sums the
+        columns from +0.0. It adds in order, and where both operands are NaN
+        it keeps the running sum's. Accumulate flips cut a chain into
+        segments; round r sums, for each chain, the segment after its r-th
+        flipped step, starting from the xor-ed sum at that step.
+        """
+        np.bitwise_xor.at(P.view(np.uint32).reshape(-1), self.mul_at, self.mul_bits)
+        P[0] += np.float32(0.0)  # each chain starts at +0.0
+        if not self.rounds:
+            return np.add.accumulate(P, axis=0, out=P)[-1]
+        cum = np.add.accumulate(P, axis=0)
+        out = cum[-1].copy()
+        cols, base = self.rounds[0][:2]  # each chain's first flipped step
+        out[cols] = cum.reshape(-1)[base]
+        del cum  # not needed by the rounds
+        flat = P.reshape(-1)
+        for cols, base, offsets, xor, last in self.rounds:
+            # rows past a chain's end (clipped at the last product) are not read
+            Q = flat.take(base + offsets, mode="clip")
+            Q[0] = (out[cols].view(np.uint32) ^ xor).view(np.float32)
+            out[cols] = np.add.accumulate(Q, axis=0, out=Q).reshape(-1)[last]
+        return out
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _plan(gen: np.random.Generator, ber: float, m: int, n: int, k: int) -> ReplayPlan | None:
+    """The ReplayPlan of gen's flips (_draw_flips) in an (m, k) x (k, n) GEMM,
+    or None if it draws none."""
+    drawn = _draw_flips(gen, ber, 32 * m * n, k)
+    if drawn is None:
+        return None
+    classes, positions = drawn
+    cell = positions >> 5
+    cells = np.zeros(m * n, dtype=bool)
+    cells[cell] = True
+    faulty = np.flatnonzero(cells)
+    nf = faulty.size
+    slot = np.zeros(m * n, dtype=np.intp)
+    slot[faulty] = np.arange(nf)
+    col = slot[cell]
+    is_acc = classes >= k
+    step = np.where(is_acc, classes - (k - 1), classes)
+    bits = np.left_shift(np.uint32(1), (positions & 31).astype(np.uint32))
+    mul = ~is_acc
+    rounds = _rounds(col[is_acc], step[is_acc], bits[is_acc], nf, k) if is_acc.any() else ()
+    cells, faulty, mul_at, mul_bits = _read_only(
+        cells.reshape(m, n), faulty, step[mul] * nf + col[mul], bits[mul])
+    return ReplayPlan(cells, len(positions), faulty, mul_at, mul_bits, rounds)
+
+
+def _rounds(col, step, bits, nf: int, k: int) -> tuple:
+    """ReplayPlan.rounds for the accumulate flips (column, step, bit) of a
+    draw whose flipped cells are nf columns of P."""
+    # one event per (cell, step), in chain order
+    key = col * k + step
+    order = np.argsort(key)
+    key = key[order]
+    new_key = np.ones(key.size, dtype=bool)
+    new_key[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new_key)
+    xor = np.bitwise_xor.reduceat(bits[order], starts)
+    cols, steps = np.divmod(key[starts], k)  # ordered by cell, then step
+    first = np.ones(cols.size, dtype=bool)
+    first[1:] = cols[1:] != cols[:-1]
+    # a segment ends at its cell's next flipped step, or at the last step
+    ends = np.full(cols.size, k - 1)
+    ends[:-1][~first[1:]] = steps[1:][~first[1:]]
+    index = np.arange(cols.size)
+    rank = index - np.maximum.accumulate(np.where(first, index, 0))
+    rounds = []
+    for r in range(rank.max() + 1):  # round r: the r-th event of each chain
+        at = rank == r
+        c, s, length = cols[at], steps[at], ends[at] - steps[at]
+        offsets = np.arange(0, (length.max() + 1) * nf, nf)[:, None]
+        last = length * c.size + np.arange(c.size)
+        rounds.append(_read_only(c, s * nf + c, offsets, xor[at], last))
+    return tuple(rounds)
+
+
 def faulty_gemm(
     A,
     B,
@@ -116,8 +223,9 @@ def faulty_gemm(
 
     The stream draws what a step-by-step injector draws, in the same order
     (see _draw_flips), but all up front, since no draw depends on a value.
-    kchain computes the clean product and hands over the products of the
-    cells that took a flip; only those cells are replayed (see _replay).
+    The draw becomes a ReplayPlan; kchain computes the clean product and
+    hands over the products of the cells that took a flip, and only those
+    cells are replayed. A record's error_cells is the plan's read-only mask.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -125,88 +233,28 @@ def faulty_gemm(
         raise ShapeError(f"gemm shape mismatch: {A.shape} x {B.shape}")
     m, k = A.shape
     n = B.shape[1]
-    drawn = _flips(cfg, stream, m, n, k) if cfg.ber > 0.0 else None
-    cells = np.zeros(m * n, dtype=bool)
+    plan = _replay_plan(cfg, stream, m, n, k) if cfg.ber > 0.0 else None
     # flips legitimately produce inf/NaN; accumulate without warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if drawn is None:
+        if plan is None:
             C = kchain(A, B)[0]
         else:
-            classes, positions = drawn
-            cell = positions >> 5
-            cells[cell] = True
-            faulty = np.flatnonzero(cells)
-            C, P = kchain(A, B, faulty)
-            C.reshape(-1)[faulty] = _replay(P, faulty, cell, classes, positions, k)
+            C, P = kchain(A, B, plan.faulty)
+            C.reshape(-1)[plan.faulty] = plan.sums(P)
     if record is not None:
-        record.error_cells = cells.reshape(m, n)
-        record.flips = 0 if drawn is None else len(drawn[1])
+        if plan is None:
+            record.error_cells, record.flips = np.zeros((m, n), dtype=bool), 0
+        else:
+            record.error_cells, record.flips = plan.cells, plan.flips
     return C
 
 
-def _flips(cfg: FaultConfig, stream: RngStream, m: int, n: int, k: int):
-    """The stream's _draw_flips for an (m, k) x (k, n) GEMM, drawn once per
-    key when cfg has a memo; memoized draws are read-only."""
+def _replay_plan(cfg: FaultConfig, stream: RngStream, m: int, n: int, k: int):
+    """The ReplayPlan of the stream's draw for an (m, k) x (k, n) GEMM, or
+    None for no flip; drawn and planned once per key when cfg has a memo."""
     if cfg.memo is None:
-        return _draw_flips(stream.gen, cfg.ber, 32 * m * n, k)
+        return _plan(stream.gen, cfg.ber, m, n, k)
     key = (*stream.key, m, n, k)
     if key not in cfg.memo:
-        drawn = _draw_flips(stream.gen, cfg.ber, 32 * m * n, k)
-        for array in drawn or ():
-            array.flags.writeable = False
-        cfg.memo[key] = drawn
+        cfg.memo[key] = _plan(stream.gen, cfg.ber, m, n, k)
     return cfg.memo[key]
-
-
-def _replay(P, faulty, cell, classes, positions, k):
-    """Final sums of the flipped k-chains of the cells `faulty`, given their
-    clean products P (one column per cell; modified in place).
-
-    Multiply flips are xor-ed into P, and np.add.accumulate sums the columns
-    from +0.0. It adds in order, and where both operands are NaN it keeps
-    the running sum's. Accumulate flips cut a chain into segments; every
-    round r then sums, for each chain, the segment after its r-th flipped
-    step, starting from the xor-ed sum at that step.
-    """
-    nf = faulty.size
-    slot = np.zeros(cell.max() + 1, dtype=np.intp)
-    slot[faulty] = np.arange(nf)
-    col = slot[cell]
-    step = np.where(classes < k, classes, classes - (k - 1))
-    bits = np.left_shift(np.uint32(1), (positions & 31).astype(np.uint32))
-    is_acc = classes >= k
-
-    mul = ~is_acc
-    np.bitwise_xor.at(P.view(np.uint32), (step[mul], col[mul]), bits[mul])
-    P[0] += np.float32(0.0)  # each chain starts at +0.0
-    if not is_acc.any():
-        return np.add.accumulate(P, axis=0, out=P)[-1]
-    # one event per (cell, step) with accumulate flips, in chain order
-    key = col[is_acc] * k + step[is_acc]
-    order = np.argsort(key)
-    key, acc_bits = key[order], bits[is_acc][order]
-    new_key = np.ones(key.size, dtype=bool)
-    new_key[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(new_key)
-    xor = np.bitwise_xor.reduceat(acc_bits, starts)
-    cols, steps = np.divmod(key[starts], k)  # ordered by cell, then step
-    first = np.ones(cols.size, dtype=bool)
-    first[1:] = cols[1:] != cols[:-1]
-    # a segment ends at its cell's next flipped step, or at the last step
-    ends = np.full(cols.size, k - 1)
-    ends[:-1][~first[1:]] = steps[1:][~first[1:]]
-    index = np.arange(cols.size)
-    rank = index - np.maximum.accumulate(np.where(first, index, 0))
-    cum = np.add.accumulate(P, axis=0)
-    out = cum[-1].copy()
-    out[cols[first]] = cum[steps[first], cols[first]]
-    del cum  # not needed by the rounds
-    flat = P.reshape(-1)
-    for r in range(rank.max() + 1):
-        at = rank == r
-        c, s, length = cols[at], steps[at], ends[at] - steps[at]
-        # rows past a chain's end (clipped at the last product) are not read
-        Q = flat.take(s * nf + c + np.arange(0, (length.max() + 1) * nf, nf)[:, None], mode="clip")
-        Q[0] = (out[c].view(np.uint32) ^ xor[at]).view(np.float32)
-        out[c] = np.add.accumulate(Q, axis=0, out=Q)[length, np.arange(c.size)]
-    return out

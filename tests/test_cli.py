@@ -191,8 +191,15 @@ def test_config_mistakes_exit_1_before_any_forward(config_path, tmp_path, capsys
     ("profile", "--trials", "0"),
     ("stats", "--gemms", "nope"),
     ("run", "--ber", "abc"),
+    ("stats", "--ber", "abc"),
+    ("stats", "--trials", "2.5"),
+    ("profile", "--trials", "abc"),
+    ("search", "--budget", "x"),
+    ("run", "--trials", "2.5"),
+    ("run", "--workers", "abc"),
 ], ids=["stats-ber-2", "stats-ber-negative", "stats-trials-0", "profile-trials-0", "stats-gemms-nope",
-        "run-ber-abc"])
+        "run-ber-abc", "stats-ber-abc", "stats-trials-2.5", "profile-trials-abc", "search-budget-x",
+        "run-trials-2.5", "run-workers-abc"])
 def test_override_mistakes_exit_1_before_any_forward(
     config_path, tmp_path, capsys, monkeypatch, command, flag, value
 ):

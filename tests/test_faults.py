@@ -215,17 +215,63 @@ def test_memo_keys_on_the_whole_stream_key_and_the_shape():
     assert len(cfg.memo) == len(cases)
 
 
+def _plan_arrays(plan):
+    """Every array a ReplayPlan holds, those of its rounds included."""
+    for value in plan:
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            yield from _plan_arrays(value)
+
+
 def test_memoized_draws_are_read_only():
     A, B = _operands(10, 8, 9, 7)
     cfg = FaultConfig(3e-3, 4, memo={})
     faulty_gemm(A, B, cfg, RngStream(4, "g"))
     faulty_gemm(*_operands(11, 1, 1, 1), cfg, RngStream(4, "h"))  # 32 bits: draws no flip
-    drawn = [v for v in cfg.memo.values() if v is not None]
-    assert len(drawn) == 1 and None in cfg.memo.values()
-    for array in drawn[0]:
+    plans = [v for v in cfg.memo.values() if v is not None]
+    assert len(plans) == 1 and None in cfg.memo.values()
+    plan = plans[0]
+    assert plan.mul_at.size and plan.rounds  # multiply and accumulate flips
+    arrays = list(_plan_arrays(plan))
+    assert len(arrays) == 4 + 5 * len(plan.rounds)
+    for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
-            array[0] = 0
+            array[...] = 0
+
+
+# the model's five GEMM shapes, then odd and single-column ones
+@pytest.mark.parametrize("shape", [
+    (16, 32, 32), (16, 16, 16), (16, 32, 128), (16, 128, 32), (1, 32, 10), (3, 5, 7), (4, 40, 1),
+])
+def test_one_plan_replays_any_operands(shape):
+    # a plan reads no values: one memoized draw, replayed on operands of
+    # every scale, signed zeros and non-finite entries, matches a fresh
+    # step-by-step injection each time and is left as it was
+    m, k, n = shape
+    rng = np.random.default_rng(m * 7919 + k * 31 + n)
+    cfg = FaultConfig(3e-3, 8, memo={})
+    plan = before = None
+    for case in range(6):
+        A = (rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
+        B = (rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
+        A[rng.random((m, k)) < 0.1] = -0.0
+        B[rng.random((k, n)) < 0.1] = -0.0
+        A[rng.random(m) < 0.2] = -0.0  # rows of signed-zero chains
+        for X in (A, B) if case >= 3 else ():  # NaN and infinite entries
+            bad = rng.random(X.shape) < 0.02
+            X[bad] = rng.choice([np.nan, np.inf, -np.inf], size=bad.sum())
+        got = _faulty(A, B, cfg, RngStream(8, "g", 1, 2))
+        want, mask, flips = dense_faulty_gemm(A, B, FaultConfig(3e-3, 8), RngStream(8, "g", 1, 2))
+        np.testing.assert_array_equal(got[0], want.view(np.uint32))
+        np.testing.assert_array_equal(got[1], mask)
+        assert got[2] == flips > 0
+        (memoized,) = cfg.memo.values()
+        if plan is None:
+            plan, before = memoized, [array.tobytes() for array in _plan_arrays(memoized)]
+        assert memoized is plan
+    assert [array.tobytes() for array in _plan_arrays(plan)] == before
 
 
 def test_memo_is_off_by_default_and_not_compared():
