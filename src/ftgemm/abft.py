@@ -167,8 +167,8 @@ def correct_exact(C, localization: Localization, profiles: SumProfiles):
     When neither applies, a candidate (r, c) is still exactly correctable if
     rsd[r] and csd[c] agree (both checksums see the same single error) and
     that agreement is unambiguous within its row and column. Everything else
-    is returned as residual: a list of (row, col) tuples in the row-major
-    order of the faulty_rows x faulty_cols candidate grid.
+    is returned as residual: the index arrays (rows, cols) of its cells, in
+    the row-major order of the faulty_rows x faulty_cols candidate grid.
     """
     C2 = as_matrix(C).copy()
     rows = np.array(localization.faulty_rows, dtype=np.intp)
@@ -191,17 +191,17 @@ def correct_exact(C, localization: Localization, profiles: SumProfiles):
         grid = match.reshape(rows.size, cols.size)
         fix = match & ((grid.sum(axis=1) == 1)[:, None] & (grid.sum(axis=0) == 1)).ravel()
     C2[r[fix], c[fix]] += dev[fix]  # a float64 add, rounded once to float32
-    return C2, list(zip(r[~fix].tolist(), c[~fix].tolist()))
+    return C2, (r[~fix], c[~fix])
 
 
-def correct_approx(C, residual_candidates, profiles: SumProfiles, mode: str):
-    """Approximate handling of distinct residual candidates: zero them out,
-    or spread the row deviation evenly over the residual candidates of each
-    row (a cell whose share is not finite is left as it is)."""
+def correct_approx(C, residual, profiles: SumProfiles, mode: str):
+    """Approximate handling of distinct residual cells (rows, cols): zero
+    them out, or spread the row deviation evenly over the residual cells of
+    each row (a cell whose share is not finite is left as it is)."""
     C2 = as_matrix(C).copy()
     if mode not in ("zero", "average"):
         raise ValueError(f"unknown approximate correction mode {mode!r}")
-    r, c = np.array(residual_candidates, dtype=np.intp).reshape(-1, 2).T
+    r, c = residual
     if mode == "zero":
         C2[r, c] = np.float32(0.0)
     else:
@@ -236,13 +236,14 @@ def protect_gemm(
         profiles = compute_sum_profiles(A, B, C, checksums=checksums)
         loc = localize(profiles, thresholds if strategy.localization == "AEL" else STRICT)
         C, residual = correct_exact(C, loc, profiles)
-        report.exact_corrected = len(loc.faulty_rows) * len(loc.faulty_cols) - len(residual)
+        left = residual[0].size
+        report.exact_corrected = len(loc.faulty_rows) * len(loc.faulty_cols) - left
         if strategy.correction == "BEC":
-            report.ignored = len(residual)
+            report.ignored = left
         else:
             mode = "zero" if strategy.correction == "AEC-zero" else "average"
             C = correct_approx(C, residual, profiles, mode)
-            report.approx_corrected = len(residual)
+            report.approx_corrected = left
     if counter is not None:
         # The paper's ABFT operation counts, not numpy's work: the float64
         # magnitude sums behind the round-off floors are free.

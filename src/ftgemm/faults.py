@@ -3,7 +3,10 @@
 Every multiply output and every accumulation-add output inside a faulty GEMM
 has each of its 32 bits flipped independently with probability `ber`. Streams
 are keyed by (seed, trial, sample, gemm_id) so trials can run in parallel
-without changing any result.
+without changing any result. A stream draws one binomial flip count per
+k-step class, then each flipped class's bit positions: the values that
+choice(nbits, count, replace=False) draws, drawn for all classes of a GEMM
+in one Generator.integers call.
 """
 
 from __future__ import annotations
@@ -86,17 +89,60 @@ def _draw_flips(gen: np.random.Generator, ber: float, nbits: int, k: int):
     Classes 0..k-1 are the multiply steps and k..2k-2 the accumulate steps
     1..k-1. The stream gives one binomial count per class, then the distinct
     positions of each nonzero class in step order: multiply 0, multiply 1,
-    accumulate 1, multiply 2, accumulate 2, ...
+    accumulate 1, multiply 2, accumulate 2, ... A class's positions are the
+    values that choice(nbits, count, replace=False) draws, as a set, and one
+    integers call draws them for all classes with the bounds of choice's
+    draws (numpy 2.4.6; test_one_call_draws_what_choice_draws is the gate).
+    choice runs Floyd's algorithm if nbits <= 10000 or count <= nbits // 50:
+    count picks bounded by j = nbits-count..nbits-1, where a pick that
+    repeats one of its class takes j, then a shuffle of the picks with swaps
+    bounded by i = count-1..1. Otherwise it takes the last count slots of a
+    Fisher-Yates shuffle of arange(nbits), with swaps bounded by i =
+    nbits-1..nbits-count. A bound of 0 draws nothing.
     """
     counts = gen.binomial(nbits, ber, size=2 * k - 1)
     if not np.count_nonzero(counts):  # the common case at low BER
         return None
     order = _class_order(k)
     classes = order[counts[order] > 0]
-    positions = np.concatenate(
-        [gen.choice(nbits, size=int(counts[c]), replace=False) for c in classes]
-    )
-    return np.repeat(classes, counts[classes]), positions
+    s = counts[classes]  # flips per flipped class
+    tail = (s > nbits // 50) & (nbits > 10000)
+    size = np.where(tail, s, 2 * s - 1)  # draws per class
+    cls = np.repeat(np.arange(s.size), size)
+    t = np.arange(cls.size) - (np.cumsum(size) - size)[cls]  # draw t of its class
+    sc = s[cls]
+    picks = t < sc
+    # exclusive bounds: Floyd's picks, then its shuffle's swaps (whose values
+    # are dropped: a class's positions are read as a set); or the tail's swaps
+    highs = np.where(picks, np.where(tail[cls], nbits - t, nbits + 1 - sc + t), 2 * sc - t)
+    positions = gen.integers(0, highs)[picks]
+    # Floyd's picks are the draws unless two draws of a class are equal (its
+    # first repeat can only be of a draw); such a class, and a tail one,
+    # runs choice's own loop
+    cls = cls[picks]
+    redo = tail.copy()
+    if s.max() > 1:
+        key = np.sort(cls * nbits + positions)
+        redo[key[1:][key[1:] == key[:-1]] // nbits] = True
+    for c in np.flatnonzero(redo):
+        at = cls == c
+        positions[at] = _picks(positions[at].tolist(), nbits, bool(tail[c]))
+    return classes[cls], positions
+
+
+def _picks(draws: list, nbits: int, tail: bool) -> list:
+    """The positions choice(nbits, len(draws), replace=False) takes from its
+    draws (see _draw_flips)."""
+    if tail:  # swap slot i with slot v; slot i is then final
+        out, moved = [], {}
+        for i, v in zip(range(nbits - 1, -1, -1), draws):
+            out.append(moved.get(v, v))
+            moved[v] = moved.get(i, i)
+        return out
+    picked = set()
+    for j, v in zip(range(nbits - len(draws), nbits), draws):
+        picked.add(j if v in picked else v)  # no earlier pick can be j
+    return list(picked)
 
 
 class ReplayPlan(NamedTuple):

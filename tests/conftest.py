@@ -98,6 +98,13 @@ def dense_faulty_gemm(A, B, cfg, stream):
     return C, mask, int(counts.sum())
 
 
+def residual_cells(residual):
+    """The cells of a correct_exact residual (rows, cols), as (row, col) int
+    tuples in order."""
+    rows, cols = residual
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def candidates(loc):
     """The faulty_rows x faulty_cols candidate grid of a localization, row-major."""
     return tuple((r, c) for r in loc.faulty_rows for c in loc.faulty_cols)

@@ -7,6 +7,7 @@ from conftest import (
     correct_exact_oracle,
     inject_single,
     localize_oracle,
+    residual_cells,
     tamper_faulty_gemm,
 )
 from ftgemm.abft import (
@@ -149,7 +150,7 @@ class TestCorrectExact:
         faulty = inject_single(C, 0, 1, 8.0)
         _, _, prof, loc = _pipeline(A, B, faulty)
         fixed, residual = correct_exact(faulty, loc, prof)
-        assert residual == []
+        assert residual_cells(residual) == []
         np.testing.assert_allclose(fixed, C, atol=1e-4)
 
     def test_same_row_pair_corrected_via_columns(self):
@@ -161,7 +162,7 @@ class TestCorrectExact:
         _, _, prof, loc = _pipeline(A, B, faulty)
         assert loc.faulty_rows == (0,) and set(loc.faulty_cols) == {0, 1}
         fixed, residual = correct_exact(faulty, loc, prof)
-        assert residual == []
+        assert residual_cells(residual) == []
         np.testing.assert_allclose(fixed, clean, atol=1e-3)
 
     def test_l_shape_residual_is_all_four(self):
@@ -173,7 +174,7 @@ class TestCorrectExact:
             C = inject_single(C, r, c, d)
         _, _, prof, loc = _pipeline(A, B, C)
         fixed, residual = correct_exact(C, loc, prof)
-        assert set(residual) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert set(residual_cells(residual)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         np.testing.assert_array_equal(fixed, C)
 
     def test_diagonal_errors_cross_matched(self):
@@ -186,14 +187,14 @@ class TestCorrectExact:
         assert set(candidates(loc)) == {(1, 2), (1, 4), (3, 2), (3, 4)}
         fixed, residual = correct_exact(faulty, loc, prof)
         np.testing.assert_allclose(fixed, clean, atol=1e-3)
-        assert set(residual) == {(1, 4), (3, 2)}
+        assert set(residual_cells(residual)) == {(1, 4), (3, 2)}
 
 
 class TestCorrectApprox:
     def test_empty_residual_unchanged(self, small_product):
         A, B, C = small_product
         prof = compute_sum_profiles(A, B, C, checksums=precompute_checksums(A, B))
-        np.testing.assert_array_equal(correct_approx(C, [], prof, "zero"), C)
+        np.testing.assert_array_equal(correct_approx(C, np.zeros((2, 0), np.intp), prof, "zero"), C)
 
     def test_zero_mode_surgical(self):
         rng = np.random.default_rng(7)
@@ -205,10 +206,10 @@ class TestCorrectApprox:
         _, _, prof, loc = _pipeline(A, B, C)
         _, residual = correct_exact(C, loc, prof)
         out = correct_approx(C, residual, prof, "zero")
-        for r, c in residual:
+        for r, c in residual_cells(residual):
             assert out[r, c] == 0.0
         untouched = np.ones_like(C, bool)
-        for r, c in residual:
+        for r, c in residual_cells(residual):
             untouched[r, c] = False
         np.testing.assert_array_equal(out[untouched], C[untouched])
 
@@ -218,7 +219,7 @@ class TestCorrectApprox:
         faulty = inject_single(faulty, 0, 1, 4.0)
         prof = compute_sum_profiles(A, B, faulty, checksums=precompute_checksums(A, B))
         assert prof.rsd[0] == pytest.approx(-8.0, abs=1e-5)
-        out = correct_approx(faulty, [(0, 0), (0, 1)], prof, "average")
+        out = correct_approx(faulty, (np.array([0, 0]), np.array([0, 1])), prof, "average")
         assert out[0, 0] == pytest.approx(faulty[0, 0] - 4.0, abs=1e-4)
         assert out[0, 1] == pytest.approx(faulty[0, 1] - 4.0, abs=1e-4)
 
@@ -226,7 +227,7 @@ class TestCorrectApprox:
         A, B, C = small_product
         prof = compute_sum_profiles(A, B, C, checksums=precompute_checksums(A, B))
         with pytest.raises(ValueError):
-            correct_approx(C, [], prof, "median")
+            correct_approx(C, np.zeros((2, 0), np.intp), prof, "median")
 
 
 def _bits(M):
@@ -244,15 +245,15 @@ def _recover_like_oracle(C, prof, thresholds):
         assert all(type(i) is int for i in loc.faulty_rows + loc.faulty_cols)
         fixed, residual = correct_exact(C, loc, prof)
         want_fixed, want_residual = correct_exact_oracle(C, want, prof)
-        assert residual == want_residual  # same cells, same row-major order
-        assert all(type(i) is int for cell in residual for i in cell)
+        assert residual_cells(residual) == want_residual  # same cells, same row-major order
+        assert all(index.dtype == np.intp for index in residual)
         np.testing.assert_array_equal(_bits(fixed), _bits(want_fixed))
         for mode in ("zero", "average"):
             np.testing.assert_array_equal(
                 _bits(correct_approx(fixed, residual, prof, mode)),
-                _bits(correct_approx_oracle(fixed, residual, prof, mode)),
+                _bits(correct_approx_oracle(fixed, want_residual, prof, mode)),
             )
-    return loc.faulty_rows, loc.faulty_cols, residual
+    return loc.faulty_rows, loc.faulty_cols, want_residual
 
 
 class TestRecoveryMatchesOracle:
@@ -455,7 +456,7 @@ class TestInvariantsRandomized:
             assert det.triggered
             assert candidates(loc) == ((int(r), int(c)),)
             fixed, residual = correct_exact(faulty, loc, prof)
-            assert residual == []
+            assert residual_cells(residual) == []
             atol = 1e-4 * max(1.0, float(prof.row_scale.max()))
             assert np.abs(fixed - clean).max() <= atol
 

@@ -8,6 +8,7 @@ from ftgemm.faults import (
     FaultConfig,
     FaultRecord,
     RngStream,
+    _draw_flips,
     faulty_gemm,
 )
 from ftgemm.tensor_core import gemm
@@ -67,7 +68,7 @@ class _OneFlipGen:
         counts[0] = 1
         return counts
 
-    def choice(self, n, size, replace):
+    def integers(self, low, high):
         return np.array([self.position])
 
 
@@ -143,6 +144,33 @@ def test_faulty_gemm_matches_dense_injector(shape):
         if flips == 0:
             np.testing.assert_array_equal(out.view(np.uint32), gemm(A, B).view(np.uint32))
             assert not rec.error_cells.any()
+
+
+def _choice_draws(gen, ber, nbits, k):
+    """The classes and per-class positions of _draw_flips's counts, drawn
+    with one choice call per class in step order."""
+    counts = gen.binomial(nbits, ber, size=2 * k - 1)
+    order = [0] + [c for step in range(1, k) for c in (step, k - 1 + step)]
+    return [(int(c), set(gen.choice(nbits, int(counts[c]), replace=False).tolist()))
+            for c in order if counts[c]]
+
+
+@pytest.mark.parametrize("nbits", [320, 8192, 16384, 65536])
+@pytest.mark.parametrize("k", [32, 128])
+def test_one_call_draws_what_choice_draws(nbits, k):
+    # both of choice's regimes: Floyd's (with the repeat fix-up where nbits is
+    # small and counts are large) and, from BER 2e-2 at nbits > 10000, the tail
+    bers = [1e-4, 1e-3, 5e-3, 2e-2, 5e-2] + ([1.0] if nbits == 320 else [])
+    for ber in bers:
+        for key in range(3 if ber < 1e-2 else 1):
+            gen, twin = RngStream(key, "g", nbits, k).gen, RngStream(key, "g", nbits, k).gen
+            drawn = _draw_flips(gen, ber, nbits, k)
+            want = _choice_draws(twin, ber, nbits, k)
+            classes, positions = drawn if drawn is not None else (np.zeros(0, int), np.zeros(0, int))
+            got = [(int(c), set(positions[classes == c].tolist())) for c in dict.fromkeys(classes.tolist())]
+            assert got == want, (ber, key)
+            assert sum(len(p) for _, p in want) == positions.size
+            assert repr(gen.bit_generator.state) == repr(twin.bit_generator.state)
 
 
 def test_inject_single():
