@@ -220,6 +220,7 @@ def protect_gemm(
     stream: RngStream,
     counter: OpCounter | None = None,
     record: FaultRecord | None = None,
+    clean: np.ndarray | None = None,
 ):
     """Run one checksum-protected faulty GEMM.
 
@@ -227,9 +228,11 @@ def protect_gemm(
     profiles -> localization -> exact correction -> approximate correction
     (or ignore, per strategy). The report counts the candidate grid from the
     lengths of the flagged rows and columns; the grid itself is never built.
+    `clean` goes to faulty_gemm; it comes back itself only if no flip was
+    drawn and detection did not trigger, since correction copies.
     """
     checksums = precompute_checksums(A, B)
-    C = faulty_gemm(A, B, cfg, stream, record=record)
+    C = faulty_gemm(A, B, cfg, stream, record=record, clean=clean)
     det = detect(C, checksums, thresholds if strategy.detection == "AED" else STRICT)
     report = CorrectionReport()
     if det.triggered:

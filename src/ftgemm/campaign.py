@@ -235,6 +235,11 @@ _WORKER_CTX: _Context | None = None
 
 def _init_worker(ctx: _Context):
     global _WORKER_CTX
+    # unpickled arrays come back writeable; a write to a clean output would
+    # make a CSV depend on the worker count
+    for outputs in ctx.dataset.clean_outputs or ():
+        for C in outputs.values():
+            C.flags.writeable = False
     _WORKER_CTX = ctx
 
 

@@ -156,6 +156,7 @@ class ReplayPlan(NamedTuple):
 
     cells: np.ndarray  # bool (m, n): the cells that took any flip
     flips: int
+    k: int
     faulty: np.ndarray  # their flat output indices i*n + j, ascending
     mul_at: np.ndarray  # flat index into P of each multiply flip
     mul_bits: np.ndarray  # its bit, as a uint32 word
@@ -171,7 +172,13 @@ class ReplayPlan(NamedTuple):
         it keeps the running sum's. Accumulate flips cut a chain into
         segments; round r sums, for each chain, the segment after its r-th
         flipped step, starting from the xor-ed sum at that step.
+
+        ValueError unless P is a C-ordered float32 (k, faulty.size) array:
+        the flips are xor-ed into a flat view of P, which any other layout
+        would turn into a copy that is then dropped.
         """
+        if P.dtype != np.float32 or P.shape != (self.k, self.faulty.size) or not P.flags.c_contiguous:
+            raise ValueError(f"P must be C-ordered float32 {(self.k, self.faulty.size)}, got {P.dtype} {P.shape}")
         np.bitwise_xor.at(P.view(np.uint32).reshape(-1), self.mul_at, self.mul_bits)
         P[0] += np.float32(0.0)  # each chain starts at +0.0
         if not self.rounds:
@@ -218,7 +225,7 @@ def _plan(gen: np.random.Generator, ber: float, m: int, n: int, k: int) -> Repla
     rounds = _rounds(col[is_acc], step[is_acc], bits[is_acc], nf, k) if is_acc.any() else ()
     cells, faulty, mul_at, mul_bits = _read_only(
         cells.reshape(m, n), faulty, step[mul] * nf + col[mul], bits[mul])
-    return ReplayPlan(cells, len(positions), faulty, mul_at, mul_bits, rounds)
+    return ReplayPlan(cells, len(positions), k, faulty, mul_at, mul_bits, rounds)
 
 
 def _rounds(col, step, bits, nf: int, k: int) -> tuple:
@@ -257,6 +264,7 @@ def faulty_gemm(
     stream: RngStream,
     *,
     record: FaultRecord | None = None,
+    clean: np.ndarray | None = None,
 ) -> np.ndarray:
     """GEMM with bit flips injected into every primitive-operation output.
 
@@ -272,6 +280,10 @@ def faulty_gemm(
     The draw becomes a ReplayPlan; kchain computes the clean product and
     hands over the products of the cells that took a flip, and only those
     cells are replayed. A record's error_cells is the plan's read-only mask.
+
+    `clean`, when given, must be gemm(A, B). It is then returned itself if
+    the stream draws no flip, and otherwise copied, with only the flipped
+    cells' products computed and replayed; no k-chain runs.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -283,9 +295,15 @@ def faulty_gemm(
     # flips legitimately produce inf/NaN; accumulate without warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if plan is None:
-            C = kchain(A, B)[0]
+            C = kchain(A, B)[0] if clean is None else clean
         else:
-            C, P = kchain(A, B, plan.faulty)
+            if clean is None:
+                C, P = kchain(A, B, plan.faulty)
+            else:
+                # the products kchain would hand over, bit for bit; C-ordered,
+                # as sums requires (a fancy-indexed product is F-ordered)
+                rows, cols = np.divmod(plan.faulty, n)
+                C, P = clean.copy(), np.multiply(A.T[:, rows], B[:, cols], order="C")
             C.reshape(-1)[plan.faulty] = plan.sums(P)
     if record is not None:
         if plan is None:

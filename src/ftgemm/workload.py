@@ -9,7 +9,7 @@ defined at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,6 +98,7 @@ def forward(
     trial: int = 0,
     sample: int = 0,
     observer=None,
+    clean: dict[str, np.ndarray] | None = None,
 ):
     """One forward pass; returns (logits vector, {gemm_id: (det, corr)}).
 
@@ -106,16 +107,20 @@ def forward(
     thresholds[gemm_id] (strict for every node when thresholds is None).
     `counter`, when given, is charged each node's m*k*n workload multiplies
     here and its ABFT operations in protect_gemm. `observer`, when given, is
-    called as observer(node, A, B, C, record) after each node.
+    called as observer(node, A, B, C, record) after each node. `clean`, when
+    given with a cfg, is X's clean output per gemm_id (Dataset.clean_outputs),
+    which the nodes reuse while the forward is on its clean prefix.
     """
     mc = model.cfg
     X = np.asarray(X, dtype=np.float32)
     if X.shape != (mc.seq_len, mc.embed_dim):
         raise ValueError(f"input shape {X.shape} != {(mc.seq_len, mc.embed_dim)}")
     reports: dict[str, tuple] = {}
+    prefix = clean  # None once a node's output may differ from the clean one
 
     def run(gemm_id: str, A, B=None):
         """One GEMM node; B defaults to the node's weight matrix."""
+        nonlocal prefix
         node = model.node_by_id[gemm_id]
         if B is None:
             B = model.weights[gemm_id]
@@ -128,12 +133,19 @@ def forward(
             node_cfg = cfg.restricted(node.gemm_id)
             stream = RngStream(cfg.seed, node.gemm_id, trial, sample)
             rec = FaultRecord() if observer is not None else None
+            C0 = None if prefix is None else prefix[node.gemm_id]
             if strategy is None:
-                C = faulty_gemm(A, B, node_cfg, stream, record=rec)
+                C = faulty_gemm(A, B, node_cfg, stream, record=rec, clean=C0)
             else:
                 ts = STRICT if thresholds is None else thresholds[node.gemm_id]
-                C, det, corr = protect_gemm(A, B, node_cfg, strategy, ts, stream, counter, record=rec)
+                C, det, corr = protect_gemm(A, B, node_cfg, strategy, ts, stream, counter, record=rec, clean=C0)
                 reports[node.gemm_id] = (det, corr)
+            # Every node so far returned its clean output itself, so this
+            # node's operands are the clean forward's. A node that drew a
+            # flip, or whose detection triggered (correction copies), returns
+            # a new array, and the operands of later nodes may differ.
+            if C is not C0:
+                prefix = None
         if observer is not None:
             observer(node, A, B, C, rec)
         return C
@@ -179,9 +191,15 @@ def _forward_body(model: Model, x, run, inv_sqrt_hd):
 class Dataset:
     inputs: list
     labels: list
+    # Per sample, its clean output per gemm_id (read-only), and the model
+    # that computed them; evaluate reuses them on that model only
+    clean_outputs: list[dict[str, np.ndarray]] | None = None
+    clean_model: Model | None = field(default=None, compare=False, repr=False)
 
 
 def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
+    """Inputs labelled by the clean model's argmax, with the clean forwards'
+    node outputs kept for evaluate."""
     check_int("n_samples", n_samples, 1)
     mc = model.cfg
     rng = np.random.default_rng(data_seed)
@@ -189,8 +207,17 @@ def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
         rng.uniform(-1.0, 1.0, size=(mc.seq_len, mc.embed_dim)).astype(np.float32)
         for _ in range(n_samples)
     ]
-    labels = [int(np.argmax(forward(model, x)[0])) for x in inputs]
-    return Dataset(inputs=inputs, labels=labels)
+    labels, clean_outputs = [], []
+    for x in inputs:
+        outputs: dict[str, np.ndarray] = {}
+
+        def keep(node, A, B, C, rec):
+            C.flags.writeable = False  # every faulty forward of x reads it
+            outputs[node.gemm_id] = C
+
+        labels.append(int(np.argmax(forward(model, x, observer=keep)[0])))
+        clean_outputs.append(outputs)
+    return Dataset(inputs, labels, clean_outputs, model)
 
 
 @dataclass
@@ -213,9 +240,12 @@ def evaluate(
 ) -> EvalStats:
     stats = EvalStats(accuracy=0.0)
     correct = 0
+    # a clean run (cfg None) still runs every GEMM
+    reuse = cfg is not None and dataset.clean_outputs is not None and dataset.clean_model is model
     for idx, (x, label) in enumerate(zip(dataset.inputs, dataset.labels)):
         logits, reports = forward(
-            model, x, cfg, strategy, thresholds, counter, trial=trial, sample=idx
+            model, x, cfg, strategy, thresholds, counter, trial=trial, sample=idx,
+            clean=dataset.clean_outputs[idx] if reuse else None,
         )
         if int(np.argmax(logits)) == label:
             correct += 1

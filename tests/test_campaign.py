@@ -1,9 +1,11 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from ftgemm.abft import strategy_from_name
+from ftgemm import campaign
+from ftgemm.abft import STRATEGY_PRESETS, strategy_from_name
 from ftgemm.campaign import (
     CampaignConfig,
     ConfigError,
@@ -19,7 +21,7 @@ from ftgemm.campaign import (
 )
 from ftgemm.faults import FaultConfig
 from ftgemm.thresholds import AlphaAssignment, DeviationProfile, SearchConfig, profile_all
-from ftgemm.workload import ModelConfig, build_model
+from ftgemm.workload import ModelConfig, build_model, generate_dataset
 
 
 def make_config(**overrides):
@@ -151,6 +153,44 @@ def test_pool_workers_share_the_parent_context(pool_sizes, monkeypatch):
     monkeypatch.setattr("ftgemm.campaign.build_model", counting_build_model)
     run_campaign(make_config(bers=[0.0], strategies=["none"], trials=2), workers=2)
     assert pool_sizes == [2] and len(built) == 1
+
+
+def _clean_arrays(dataset):
+    return [C for outputs in dataset.clean_outputs for C in outputs.values()]
+
+
+def test_pool_workers_keep_clean_outputs_read_only(monkeypatch):
+    # a worker gets the context pickled; unpickled arrays come back writeable
+    ctx = campaign._build_context(make_config(n_samples=2))
+    copy = pickle.loads(pickle.dumps(ctx))
+    monkeypatch.setattr(campaign, "_WORKER_CTX", None)
+    campaign._init_worker(copy)
+    assert campaign._WORKER_CTX is copy and copy.dataset.clean_model is copy.model
+    arrays = _clean_arrays(copy.dataset)
+    assert len(arrays) == 2 * 21
+    assert not any(C.flags.writeable for C in arrays)
+    assert [C.tobytes() for C in arrays] == [C.tobytes() for C in _clean_arrays(ctx.dataset)]
+
+
+def test_no_strategy_writes_a_clean_output(monkeypatch, default_model, small_dataset):
+    # every faulty forward of a campaign reads the clean outputs of its dataset
+    datasets = []
+
+    def keeping_generate_dataset(*args):
+        datasets.append(generate_dataset(*args))
+        return datasets[-1]
+
+    monkeypatch.setattr(campaign, "generate_dataset", keeping_generate_dataset)
+    profiles = {1e-4: profile_all(default_model, small_dataset.inputs, 1e-4, 2, 7)}
+    config = make_config(n_samples=3, bers=[0.0, 1e-4], strategies=["none", *STRATEGY_PRESETS],
+                         trials=1, profiles=profiles, alphas=1e-6)
+    rows = run_campaign(config)
+    assert len(rows) == 2 * 6 and any(r["detections_triggered"] for r in rows)
+    (dataset,) = datasets
+    arrays = _clean_arrays(dataset)
+    want = _clean_arrays(generate_dataset(default_model, config.n_samples, config.data_seed))
+    assert [C.tobytes() for C in arrays] == [C.tobytes() for C in want]
+    assert not any(C.flags.writeable for C in arrays)
 
 
 def test_emit_csv_roundtrip(tmp_path, basic_rows):

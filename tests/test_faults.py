@@ -9,6 +9,7 @@ from ftgemm.faults import (
     FaultRecord,
     RngStream,
     _draw_flips,
+    _plan,
     faulty_gemm,
 )
 from ftgemm.tensor_core import gemm
@@ -144,6 +145,15 @@ def test_faulty_gemm_matches_dense_injector(shape):
         if flips == 0:
             np.testing.assert_array_equal(out.view(np.uint32), gemm(A, B).view(np.uint32))
             assert not rec.error_cells.any()
+        # given the clean output (read-only, as a dataset holds it), the same
+        # result without a k-chain; with no flip, the clean output itself
+        clean = gemm(A, B)
+        clean.flags.writeable = False
+        reused = faulty_gemm(A, B, cfg, RngStream(case, "g", 1, 2), record=rec, clean=clean)
+        np.testing.assert_array_equal(reused.view(np.uint32), want.view(np.uint32))
+        np.testing.assert_array_equal(rec.error_cells, mask)
+        assert rec.flips == flips
+        assert (reused is clean) == (flips == 0)
 
 
 def _choice_draws(gen, ber, nbits, k):
@@ -203,9 +213,9 @@ class _NoGen:
         raise AssertionError(f"the generator was asked for {name}")
 
 
-def _faulty(A, B, cfg, stream):
+def _faulty(A, B, cfg, stream, clean=None):
     rec = FaultRecord()
-    C = faulty_gemm(A, B, cfg, stream, record=rec)
+    C = faulty_gemm(A, B, cfg, stream, record=rec, clean=clean)
     return C.view(np.uint32).copy(), rec.error_cells, rec.flips
 
 
@@ -290,16 +300,39 @@ def test_one_plan_replays_any_operands(shape):
         for X in (A, B) if case >= 3 else ():  # NaN and infinite entries
             bad = rng.random(X.shape) < 0.02
             X[bad] = rng.choice([np.nan, np.inf, -np.inf], size=bad.sum())
-        got = _faulty(A, B, cfg, RngStream(8, "g", 1, 2))
         want, mask, flips = dense_faulty_gemm(A, B, FaultConfig(3e-3, 8), RngStream(8, "g", 1, 2))
-        np.testing.assert_array_equal(got[0], want.view(np.uint32))
-        np.testing.assert_array_equal(got[1], mask)
-        assert got[2] == flips > 0
+        with np.errstate(invalid="ignore"):
+            clean_output = gemm(A, B)
+        for clean in (None, clean_output):  # a k-chain, or only the flipped cells' products
+            got = _faulty(A, B, cfg, RngStream(8, "g", 1, 2), clean)
+            np.testing.assert_array_equal(got[0], want.view(np.uint32))
+            np.testing.assert_array_equal(got[1], mask)
+            assert got[2] == flips > 0
         (memoized,) = cfg.memo.values()
         if plan is None:
             plan, before = memoized, [array.tobytes() for array in _plan_arrays(memoized)]
         assert memoized is plan
     assert [array.tobytes() for array in _plan_arrays(plan)] == before
+
+
+def test_sums_rejects_products_it_cannot_update_in_place():
+    # the flips are xor-ed into a flat view of P; an F-ordered P (as
+    # A.T[:, i] * B[:, j] gives) would be flattened into a copy, and its
+    # multiply flips lost
+    m, k, n = 8, 9, 7
+    A, B = _operands(12, m, k, n)
+    plan = _plan(RngStream(4, "g").gen, 3e-3, m, n, k)
+    assert plan.mul_at.size and plan.faulty.size > 1
+    rows, cols = np.divmod(plan.faulty, n)
+    P = A.T[:, rows] * B[:, cols]
+    assert not P.flags.c_contiguous
+    for bad in (P, P.astype(np.float64), np.ascontiguousarray(P[1:]), np.ascontiguousarray(P[:, 1:])):
+        with pytest.raises(ValueError, match="C-ordered float32"):
+            plan.sums(bad)
+    C = gemm(A, B)
+    C.reshape(-1)[plan.faulty] = plan.sums(np.ascontiguousarray(P))
+    want, _, _ = dense_faulty_gemm(A, B, FaultConfig(3e-3, 4), RngStream(4, "g"))
+    np.testing.assert_array_equal(C.view(np.uint32), want.view(np.uint32))
 
 
 def test_memo_is_off_by_default_and_not_compared():

@@ -206,3 +206,66 @@ def test_shared_draw_memo_forward_bits_and_records(default_model, small_dataset)
             np.testing.assert_array_equal(got_records[gid][0], cells)
             assert got_records[gid][1] == flips
     assert sum(flips for _, flips in want_records.values()) > 0
+
+
+def _run_full_and_reused(model, data, cfg, strategy, thresholds):
+    """(EvalStats, OpCounter, logits bits, per-node FaultRecords) per sample,
+    for data as given and for the same data without its clean outputs, and
+    how many nodes returned a clean output itself."""
+    full = Dataset(data.inputs, data.labels)
+    runs, reused = [], []
+    for dataset in (data, full):
+        counter = OpCounter()
+        stats = evaluate(model, dataset, cfg, strategy, thresholds, counter, trial=1)
+        forwards = []
+        for idx, x in enumerate(dataset.inputs):
+            records = {}
+            clean = None if dataset.clean_outputs is None else dataset.clean_outputs[idx]
+
+            def observe(node, A, B, C, rec):
+                records[node.gemm_id] = (rec.error_cells.tobytes(), rec.flips)
+                reused.append(clean is not None and C is clean[node.gemm_id])
+
+            logits, _ = forward(model, x, cfg, strategy, thresholds, trial=1, sample=idx,
+                                observer=observe, clean=clean)
+            forwards.append((logits.tobytes(), records))
+        runs.append((stats, counter, forwards))
+    return runs, sum(reused)
+
+
+# fault seed 43 first flips nodes 19 and 10 of samples 0 and 1 at 1e-8
+# (none of 2, 3), nodes 16, 10 and 8 of samples 0-2 at 1e-7 (none of 3),
+# and node 0 of each sample from 1e-5; in scope, layer0.ff.in is node 8
+@pytest.mark.parametrize("ber, scope, clean_prefix", [
+    (0.0, None, 84), (1e-8, None, 19 + 10 + 21 + 21), (1e-7, None, 16 + 10 + 8 + 21),
+    (1e-5, None, 0), (1e-4, None, 0),
+    (1e-5, frozenset({"layer0.ff.in", "layer1.attn.head0.score"}), 4 * 8),
+])
+def test_reused_clean_outputs_match_the_full_forward(default_model, small_dataset, ber, scope, clean_prefix):
+    # a faulty forward that reads its clean prefix from the dataset gives
+    # what the same forward gives without it, for every strategy, and
+    # reuses exactly the nodes before its first flipped one
+    n = 4
+    data = Dataset(small_dataset.inputs[:n], small_dataset.labels[:n], small_dataset.clean_outputs[:n],
+                   default_model)
+    relaxed = {node.gemm_id: ThresholdSet(1e-2, 1e-3, 1e-3) for node in default_model.nodes}
+    for name in MEMO_STRATEGIES:
+        strategy = strategy_from_name(name)
+        thresholds = relaxed if name.startswith("opt") else None
+        cfg = FaultConfig(ber, 43, scope=scope, memo={})
+        (reused, full), hits = _run_full_and_reused(default_model, data, cfg, strategy, thresholds)
+        assert reused == full
+        flips = sum(f for _, records in full[2] for _, f in records.values())
+        assert (flips > 0) == (ber > 0)
+        assert hits == clean_prefix
+
+
+def test_clean_outputs_are_reused_on_their_model_only(default_model, small_dataset):
+    # labels from one model, evaluated on another: no clean output is reused
+    other = build_model(ModelConfig(weight_seed=12))
+    full = Dataset(small_dataset.inputs, small_dataset.labels)
+    for cfg in (FaultConfig(0.0, 3), FaultConfig(1e-8, 3)):
+        got, want = OpCounter(), OpCounter()
+        stats = evaluate(other, small_dataset, cfg, strategy_from_name("baseline"), counter=got)
+        assert (stats, got) == (evaluate(other, full, cfg, strategy_from_name("baseline"), counter=want), want)
+        assert stats.accuracy < 1.0
