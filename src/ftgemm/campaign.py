@@ -233,14 +233,15 @@ def _run_trial(ctx: _Context, ber: float, trial: int) -> list[dict]:
 _WORKER_CTX: _Context | None = None
 
 
-def _init_worker(ctx: _Context):
+def _init_worker(
+    model: Model, thresholds: dict[float, dict[str, ThresholdSet] | None], config: CampaignConfig
+):
     global _WORKER_CTX
-    # unpickled arrays come back writeable; a write to a clean output would
-    # make a CSV depend on the worker count
-    for outputs in ctx.dataset.clean_outputs or ():
-        for C in outputs.values():
-            C.flags.writeable = False
-    _WORKER_CTX = ctx
+    # The pool is sent no dataset: its clean outputs, about 22 times the
+    # size of its inputs, would be pickled for every worker and come back
+    # writeable. Each worker generates it again, as _build_context did.
+    dataset = generate_dataset(model, config.n_samples, config.data_seed)
+    _WORKER_CTX = _Context(model=model, dataset=dataset, thresholds=thresholds, config=config)
 
 
 def _worker_run(task):
@@ -259,7 +260,8 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> list[dict]:
     ctx = _build_context(config)  # a ConfigError here, not a broken pool
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
+            max_workers=workers, initializer=_init_worker,
+            initargs=(ctx.model, ctx.thresholds, ctx.config),
         ) as pool:
             results = list(pool.map(_worker_run, tasks, chunksize=1))
     else:

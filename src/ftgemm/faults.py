@@ -277,13 +277,13 @@ def faulty_gemm(
 
     The stream draws what a step-by-step injector draws, in the same order
     (see _draw_flips), but all up front, since no draw depends on a value.
-    The draw becomes a ReplayPlan; kchain computes the clean product and
-    hands over the products of the cells that took a flip, and only those
-    cells are replayed. A record's error_cells is the plan's read-only mask.
+    The draw becomes a ReplayPlan; kchain computes the clean product, and
+    only the cells that took a flip are replayed, from their products. A
+    record's error_cells is the plan's read-only mask.
 
-    `clean`, when given, must be gemm(A, B). It is then returned itself if
-    the stream draws no flip, and otherwise copied, with only the flipped
-    cells' products computed and replayed; no k-chain runs.
+    `clean`, when given, must be gemm(A, B) and stands in for kchain: it is
+    returned itself if the stream draws no flip, and otherwise copied
+    before the flipped cells are replayed into it.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -294,16 +294,17 @@ def faulty_gemm(
     plan = _replay_plan(cfg, stream, m, n, k) if cfg.ber > 0.0 else None
     # flips legitimately produce inf/NaN; accumulate without warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if plan is None:
-            C = kchain(A, B)[0] if clean is None else clean
+        if clean is None:
+            C = kchain(A, B)
         else:
-            if clean is None:
-                C, P = kchain(A, B, plan.faulty)
-            else:
-                # the products kchain would hand over, bit for bit; C-ordered,
-                # as sums requires (a fancy-indexed product is F-ordered)
-                rows, cols = np.divmod(plan.faulty, n)
-                C, P = clean.copy(), np.multiply(A.T[:, rows], B[:, cols], order="C")
+            C = clean if plan is None else clean.copy()
+        if plan is not None:
+            # the flipped cells' products, bit for bit as kchain summed them.
+            # sums needs them C-ordered; the fancy-indexed factors are
+            # F-ordered, and copying their product is faster than writing it
+            # C-ordered (order="C").
+            rows, cols = np.divmod(plan.faulty, n)
+            P = np.ascontiguousarray(A.T[:, rows] * B[:, cols])
             C.reshape(-1)[plan.faulty] = plan.sums(P)
     if record is not None:
         if plan is None:

@@ -84,14 +84,11 @@ def as_matrix(x) -> np.ndarray:
 
 # Bound on the product buffer of kchain, in float32 elements (64 KiB).
 _CHUNK_ELEMS = 1 << 14
-_NO_CELLS = np.zeros(0, dtype=np.intp)
 
 
-def kchain(A: np.ndarray, B: np.ndarray, keep: np.ndarray = _NO_CELLS):
-    """(A @ B, P) for float32 matrices of matching shapes. Each output cell
-    is summed from +0.0 in k-ascending order, bit for bit as a scalar loop;
-    P is the C-ordered (k, len(keep)) array of the products of the flat
-    output cells `keep` (cell i*n + j), as the sums used them.
+def kchain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for float32 matrices of matching shapes. Each output cell is
+    summed from +0.0 in k-ascending order, bit for bit as a scalar loop.
 
     The products of a k-chunk fill rows 1.. of a C-ordered (chunk + 1, m*n)
     buffer whose row 0 carries the running sum. numpy reduces the outer
@@ -104,9 +101,8 @@ def kchain(A: np.ndarray, B: np.ndarray, keep: np.ndarray = _NO_CELLS):
     n = B.shape[1]
     cells = m * n
     acc = np.zeros(cells, dtype=np.float32)
-    P = np.empty((k, keep.size), dtype=np.float32)
     if cells == 0:
-        return acc.reshape(m, n), P
+        return acc.reshape(m, n)
     chunk = max(1, min(k, _CHUNK_ELEMS // cells))
     buf = np.empty((chunk + 1, cells), dtype=np.float32)
     AT = A.T
@@ -114,13 +110,11 @@ def kchain(A: np.ndarray, B: np.ndarray, keep: np.ndarray = _NO_CELLS):
         c = min(chunk, k - k0)
         buf[0] = acc
         np.multiply(AT[k0:k0 + c, :, None], B[k0:k0 + c, None, :], out=buf[1:c + 1].reshape(c, m, n))
-        if keep.size:
-            np.take(buf[1:c + 1], keep, axis=1, out=P[k0:k0 + c])
         if cells == 1:
             acc[0] = np.add.accumulate(buf[:c + 1, 0])[-1]
         else:
             np.add.reduce(buf[:c + 1], axis=0, out=acc)
-    return acc.reshape(m, n), P
+    return acc.reshape(m, n)
 
 
 def gemm(A, B) -> np.ndarray:
@@ -129,7 +123,7 @@ def gemm(A, B) -> np.ndarray:
     B = as_matrix(B)
     if A.shape[1] != B.shape[0]:
         raise ShapeError(f"gemm shape mismatch: {A.shape} x {B.shape}")
-    return kchain(A, B)[0]
+    return kchain(A, B)
 
 
 def softmax_rows(X) -> np.ndarray:

@@ -191,15 +191,21 @@ def _forward_body(model: Model, x, run, inv_sqrt_hd):
 class Dataset:
     inputs: list
     labels: list
-    # Per sample, its clean output per gemm_id (read-only), and the model
-    # that computed them; evaluate reuses them on that model only
-    clean_outputs: list[dict[str, np.ndarray]] | None = None
+    # Per sample, its clean output per gemm_id (read-only) or None, and the
+    # model that computed them; evaluate reuses them on that model only
+    clean_outputs: list[dict[str, np.ndarray] | None] | None = None
     clean_model: Model | None = field(default=None, compare=False, repr=False)
+
+
+# Bound on the clean outputs a dataset keeps, in bytes, give or take one
+# sample's: 32 MiB, about 740 samples of the default model (45 KB each).
+# Later samples keep none, and their faulty forwards run in full.
+_CLEAN_OUTPUT_BYTES = 32 << 20
 
 
 def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
     """Inputs labelled by the clean model's argmax, with the clean forwards'
-    node outputs kept for evaluate."""
+    node outputs kept for evaluate, up to _CLEAN_OUTPUT_BYTES."""
     check_int("n_samples", n_samples, 1)
     mc = model.cfg
     rng = np.random.default_rng(data_seed)
@@ -207,15 +213,17 @@ def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
         rng.uniform(-1.0, 1.0, size=(mc.seq_len, mc.embed_dim)).astype(np.float32)
         for _ in range(n_samples)
     ]
-    labels, clean_outputs = [], []
+    labels, clean_outputs, kept = [], [], 0
     for x in inputs:
-        outputs: dict[str, np.ndarray] = {}
+        outputs: dict[str, np.ndarray] | None = {} if kept < _CLEAN_OUTPUT_BYTES else None
 
         def keep(node, A, B, C, rec):
+            nonlocal kept
             C.flags.writeable = False  # every faulty forward of x reads it
             outputs[node.gemm_id] = C
+            kept += C.nbytes
 
-        labels.append(int(np.argmax(forward(model, x, observer=keep)[0])))
+        labels.append(int(np.argmax(forward(model, x, observer=None if outputs is None else keep)[0])))
         clean_outputs.append(outputs)
     return Dataset(inputs, labels, clean_outputs, model)
 

@@ -159,17 +159,31 @@ def _clean_arrays(dataset):
     return [C for outputs in dataset.clean_outputs for C in outputs.values()]
 
 
-def test_pool_workers_keep_clean_outputs_read_only(monkeypatch):
-    # a worker gets the context pickled; unpickled arrays come back writeable
-    ctx = campaign._build_context(make_config(n_samples=2))
-    copy = pickle.loads(pickle.dumps(ctx))
+def test_pool_workers_generate_read_only_clean_outputs(pool_sizes, monkeypatch):
+    # the pool pickles its initializer's arguments for every worker; they
+    # hold no dataset, so they do not grow with the sample count, and a
+    # worker's clean outputs are read-only (unpickled arrays come back
+    # writeable)
+    sent = []
+
+    def pickling_init_worker(*args):
+        sent.append(pickle.dumps(args))
+        init_worker(*pickle.loads(sent[-1]))
+
+    init_worker = campaign._init_worker
+    monkeypatch.setattr(campaign, "_init_worker", pickling_init_worker)
     monkeypatch.setattr(campaign, "_WORKER_CTX", None)
-    campaign._init_worker(copy)
-    assert campaign._WORKER_CTX is copy and copy.dataset.clean_model is copy.model
-    arrays = _clean_arrays(copy.dataset)
-    assert len(arrays) == 2 * 21
+    for n_samples in (2, 6):
+        config = make_config(n_samples=n_samples, bers=[0.0], strategies=["none"], trials=2)
+        assert run_campaign(config, workers=2) == run_campaign(config, workers=1)
+    assert pool_sizes == [2, 2] and len(sent[0]) == len(sent[1])
+    ctx = campaign._WORKER_CTX
+    assert ctx.dataset.clean_model is ctx.model
+    arrays = _clean_arrays(ctx.dataset)
+    assert len(arrays) == 6 * 21
     assert not any(C.flags.writeable for C in arrays)
-    assert [C.tobytes() for C in arrays] == [C.tobytes() for C in _clean_arrays(ctx.dataset)]
+    want = _clean_arrays(campaign._build_context(config).dataset)
+    assert [C.tobytes() for C in arrays] == [C.tobytes() for C in want]
 
 
 def test_no_strategy_writes_a_clean_output(monkeypatch, default_model, small_dataset):

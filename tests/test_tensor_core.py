@@ -75,18 +75,21 @@ def test_gemm_matches_triple_loop_bit_exactly(case):
     (3, 70, 4), (5, 40, 1), (1, 40, 1),
 ])
 def test_kchain_keeps_products_bit_for_bit(shape):
-    # faulty_gemm replays flipped cells from P, so P must hold every product
-    # exactly as the sums used it, the sign of -0.0 products included
+    # faulty_gemm replays flipped cells from products it computes itself, as
+    # below, so kchain's sums must use exactly those products, the sign of
+    # -0.0 products included
     m, k, n = shape
     rng = np.random.default_rng(m * 10007 + k * 101 + n)
     for _ in range(5):
         A, B = _mixed_operands(rng, m, k, n)
         keep = rng.choice(m * n, size=int(rng.integers(1, m * n + 1)), replace=False)
-        C, P = kchain(A, B, keep)
-        want = (A.T[:, :, None] * B[:, None, :]).reshape(k, m * n)[:, keep]
-        assert (want.view(np.uint32) == 0x80000000).any()  # -0.0 products occur
-        np.testing.assert_array_equal(P.view(np.uint32), want.view(np.uint32))
-        np.testing.assert_array_equal(C.view(np.uint32), kchain(A, B)[0].view(np.uint32))
+        rows, cols = np.divmod(keep, n)
+        P = np.multiply(A.T[:, rows], B[:, cols], order="C")
+        assert (P.view(np.uint32) == 0x80000000).any()  # -0.0 products occur
+        want = np.zeros(keep.size, dtype=np.float32)
+        for products in P:
+            want += products
+        np.testing.assert_array_equal(kchain(A, B).reshape(-1)[keep].view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.parametrize("width", [2, 3, 17, 64])

@@ -3,6 +3,7 @@ import pytest
 
 from ftgemm.faults import FaultConfig, RngStream
 from ftgemm.abft import ThresholdSet, protect_gemm, strategy_from_name
+from ftgemm import workload
 from ftgemm.tensor_core import OpCounter
 from ftgemm.workload import (
     Dataset,
@@ -258,6 +259,18 @@ def test_reused_clean_outputs_match_the_full_forward(default_model, small_datase
         flips = sum(f for _, records in full[2] for _, f in records.values())
         assert (flips > 0) == (ber > 0)
         assert hits == clean_prefix
+
+
+def test_clean_outputs_stop_at_their_memory_bound(monkeypatch, default_model, small_dataset):
+    # samples past the bound keep no clean outputs, and their faulty
+    # forwards run the full path
+    per_sample = sum(C.nbytes for C in small_dataset.clean_outputs[0].values())
+    monkeypatch.setattr(workload, "_CLEAN_OUTPUT_BYTES", per_sample + 1)
+    data = generate_dataset(default_model, 4, data_seed=23)
+    assert [outputs is None for outputs in data.clean_outputs] == [False, False, True, True]
+    cfg = FaultConfig(1e-8, 43, memo={})
+    (reused, full), hits = _run_full_and_reused(default_model, data, cfg, strategy_from_name("baseline"), None)
+    assert reused == full and hits == 19 + 10
 
 
 def test_clean_outputs_are_reused_on_their_model_only(default_model, small_dataset):
