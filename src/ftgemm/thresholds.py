@@ -7,7 +7,8 @@ a greedy pass over the GEMMs (optionally in ascending order of GEMM size),
 holding the accuracy loss of each step under a budget. Accuracy evaluations
 reuse the same trial seeds (common random numbers) so feasibility checks are
 deterministic, and one search draws each fault stream once: its FaultConfig
-carries a draw memo.
+carries a draw memo. Searches run the held-out forwards in full, without
+the dataset's clean outputs (see _mean_accuracy).
 """
 
 from __future__ import annotations
@@ -196,8 +197,13 @@ def _mean_accuracy(
 ) -> float:
     strategy = strategy_from_name(cfg.strategy)
     thresholds = thresholds_from_assignment(profiles, assignment)
+    # The inputs alone, without clean outputs to reuse: a search replays the
+    # same few fault streams at every step, so reuse would set its time by
+    # where those streams first flip (1.07x to 1.5x faster over 16 seeds of
+    # a two-sample search) rather than by its size. Results are the same.
+    inputs_only = Dataset(dataset.inputs, dataset.labels)
     accs = [
-        evaluate(model, dataset, fault_cfg, strategy, thresholds, trial=t).accuracy
+        evaluate(model, inputs_only, fault_cfg, strategy, thresholds, trial=t).accuracy
         for t in range(cfg.trials_per_eval)
     ]
     return float(np.mean(accs))

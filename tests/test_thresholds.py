@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from ftgemm import workload
 from ftgemm.abft import REL_EPS
 from ftgemm.thresholds import (
     AlphaAssignment,
@@ -185,6 +186,26 @@ class TestSearches:
         a1 = greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
         a2 = greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
         assert a1.alphas == a2.alphas
+
+    def test_searches_run_forwards_without_clean_outputs(
+        self, monkeypatch, default_model, small_dataset, search_setup
+    ):
+        # a search's time must not hinge on where its few streams first flip
+        profiles, _ = search_setup
+        cfg = SearchConfig(accuracy_budget=0.01, trials_per_eval=1, ber=1e-6,
+                           resolution=0.5, strategy="opt")
+        assert small_dataset.clean_outputs is not None
+        passed = []
+        full_forward = workload.forward
+
+        def spy(*args, clean=None, **kwargs):
+            passed.append(clean)
+            return full_forward(*args, clean=clean, **kwargs)
+
+        monkeypatch.setattr(workload, "forward", spy)
+        binary_search_global_alpha(default_model, small_dataset, cfg, profiles, 9)
+        greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
+        assert passed and all(clean is None for clean in passed)
 
     def test_search_config_validation(self):
         with pytest.raises(ValueError):
