@@ -86,6 +86,26 @@ class DetectionReport:
     triggered: bool
 
 
+@dataclass(frozen=True)
+class CleanCheck:
+    """The checks of one GEMM on clean operands, which every protected
+    forward on its sample's clean prefix shares: the checksums, with
+    a_colsum and b_rowsum read-only, the clean output's MSD and the
+    round-off floor fp_floor(checksums.total_scale)."""
+
+    checksums: Checksums
+    msd: float
+    floor: float
+
+
+def clean_check(A, B, C) -> CleanCheck:
+    """The CleanCheck of C = gemm(A, B)."""
+    checksums = precompute_checksums(A, B)
+    checksums.a_colsum.flags.writeable = checksums.b_rowsum.flags.writeable = False
+    det = detect(C, checksums)
+    return CleanCheck(checksums, det.msd, fp_floor(checksums.total_scale))
+
+
 @dataclass
 class SumProfiles:
     rsd: np.ndarray
@@ -123,7 +143,11 @@ def detect(C, checksums: Checksums, thresholds: ThresholdSet = STRICT) -> Detect
     C = as_matrix(C)
     actual = float(C.sum(dtype=np.float64))
     msd = abs(checksums.predicted_total - actual)
-    threshold = max(thresholds.detect_threshold, fp_floor(checksums.total_scale))
+    return _judge(msd, thresholds, fp_floor(checksums.total_scale))
+
+
+def _judge(msd: float, thresholds: ThresholdSet, floor) -> DetectionReport:
+    threshold = max(thresholds.detect_threshold, floor)
     triggered = (not math.isfinite(msd)) or msd > threshold
     return DetectionReport(msd=msd, threshold=threshold, triggered=triggered)
 
@@ -221,6 +245,7 @@ def protect_gemm(
     counter: OpCounter | None = None,
     record: FaultRecord | None = None,
     clean: np.ndarray | None = None,
+    check: CleanCheck | None = None,
 ):
     """Run one checksum-protected faulty GEMM.
 
@@ -229,11 +254,17 @@ def protect_gemm(
     (or ignore, per strategy). The report counts the candidate grid from the
     lengths of the flagged rows and columns; the grid itself is never built.
     `clean` goes to faulty_gemm; it comes back itself only if no flip was
-    drawn and detection did not trigger, since correction copies.
+    drawn and detection did not trigger, since correction copies. `check`,
+    when given, must be clean_check(A, B, clean): its checksums stand in for
+    precompute_checksums, and its MSD for detect while C is `clean` itself.
     """
-    checksums = precompute_checksums(A, B)
+    checksums = precompute_checksums(A, B) if check is None else check.checksums
     C = faulty_gemm(A, B, cfg, stream, record=record, clean=clean)
-    det = detect(C, checksums, thresholds if strategy.detection == "AED" else STRICT)
+    det_thresholds = thresholds if strategy.detection == "AED" else STRICT
+    if check is not None and C is clean:
+        det = _judge(check.msd, det_thresholds, check.floor)
+    else:
+        det = detect(C, checksums, det_thresholds)
     report = CorrectionReport()
     if det.triggered:
         profiles = compute_sum_profiles(A, B, C, checksums=checksums)

@@ -158,6 +158,8 @@ class ReplayPlan(NamedTuple):
     flips: int
     k: int
     faulty: np.ndarray  # their flat output indices i*n + j, ascending
+    rows: np.ndarray  # i of each
+    cols: np.ndarray  # j of each
     mul_at: np.ndarray  # flat index into P of each multiply flip
     mul_bits: np.ndarray  # its bit, as a uint32 word
     # per round: (columns, gather base, stride offsets, xor words, last rows)
@@ -223,9 +225,9 @@ def _plan(gen: np.random.Generator, ber: float, m: int, n: int, k: int) -> Repla
     bits = np.left_shift(np.uint32(1), (positions & 31).astype(np.uint32))
     mul = ~is_acc
     rounds = _rounds(col[is_acc], step[is_acc], bits[is_acc], nf, k) if is_acc.any() else ()
-    cells, faulty, mul_at, mul_bits = _read_only(
-        cells.reshape(m, n), faulty, step[mul] * nf + col[mul], bits[mul])
-    return ReplayPlan(cells, len(positions), k, faulty, mul_at, mul_bits, rounds)
+    cells, faulty, rows, cols, mul_at, mul_bits = _read_only(
+        cells.reshape(m, n), faulty, *np.divmod(faulty, n), step[mul] * nf + col[mul], bits[mul])
+    return ReplayPlan(cells, len(positions), k, faulty, rows, cols, mul_at, mul_bits, rounds)
 
 
 def _rounds(col, step, bits, nf: int, k: int) -> tuple:
@@ -292,25 +294,23 @@ def faulty_gemm(
     m, k = A.shape
     n = B.shape[1]
     plan = _replay_plan(cfg, stream, m, n, k) if cfg.ber > 0.0 else None
-    # flips legitimately produce inf/NaN; accumulate without warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        if clean is None:
-            C = kchain(A, B)
-        else:
-            C = clean if plan is None else clean.copy()
-        if plan is not None:
-            # the flipped cells' products, bit for bit as kchain summed them.
-            # sums needs them C-ordered; the fancy-indexed factors are
-            # F-ordered, and copying their product is faster than writing it
-            # C-ordered (order="C").
-            rows, cols = np.divmod(plan.faulty, n)
-            P = np.ascontiguousarray(A.T[:, rows] * B[:, cols])
-            C.reshape(-1)[plan.faulty] = plan.sums(P)
     if record is not None:
         if plan is None:
             record.error_cells, record.flips = np.zeros((m, n), dtype=bool), 0
         else:
             record.error_cells, record.flips = plan.cells, plan.flips
+    if plan is None and clean is not None:
+        return clean
+    # flips legitimately produce inf/NaN; accumulate without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = kchain(A, B) if clean is None else clean.copy()
+        if plan is not None:
+            # the flipped cells' products, bit for bit as kchain summed them.
+            # sums needs them C-ordered; the fancy-indexed factors are
+            # F-ordered, and copying their product is faster than writing it
+            # C-ordered (order="C").
+            P = np.ascontiguousarray(A.T[:, plan.rows] * B[:, plan.cols])
+            C.reshape(-1)[plan.faulty] = plan.sums(P)
     return C
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .abft import STRICT, AbftStrategy, ThresholdSet, protect_gemm
+from .abft import STRICT, AbftStrategy, CleanCheck, ThresholdSet, clean_check, protect_gemm
 from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
 from .tensor_core import ConfigError, GemmShape, OpCounter, check_int, gelu, gemm, layernorm_rows, softmax_rows
 
@@ -88,6 +88,22 @@ def build_model(cfg: ModelConfig) -> Model:
     return Model(cfg, nodes, weights)
 
 
+@dataclass
+class CleanForward:
+    """One sample's clean forward, which its faulty forwards reuse on their
+    clean prefix: each node's output (read-only), and the CleanCheck of each
+    node a protected forward has reached on its prefix, stored by the first."""
+
+    outputs: dict[str, np.ndarray]
+    checks: dict[str, CleanCheck] = field(default_factory=dict)
+
+    def check(self, gemm_id: str, A, B) -> CleanCheck:
+        """gemm_id's CleanCheck; A and B must be its clean forward's operands."""
+        if gemm_id not in self.checks:
+            self.checks[gemm_id] = clean_check(A, B, self.outputs[gemm_id])
+        return self.checks[gemm_id]
+
+
 def forward(
     model: Model,
     X,
@@ -98,7 +114,7 @@ def forward(
     trial: int = 0,
     sample: int = 0,
     observer=None,
-    clean: dict[str, np.ndarray] | None = None,
+    clean: CleanForward | None = None,
 ):
     """One forward pass; returns (logits vector, {gemm_id: (det, corr)}).
 
@@ -108,8 +124,9 @@ def forward(
     `counter`, when given, is charged each node's m*k*n workload multiplies
     here and its ABFT operations in protect_gemm. `observer`, when given, is
     called as observer(node, A, B, C, record) after each node. `clean`, when
-    given with a cfg, is X's clean output per gemm_id (Dataset.clean_outputs),
-    which the nodes reuse while the forward is on its clean prefix.
+    given with a cfg, is X's clean forward (Dataset.clean_forwards), whose
+    outputs, and under a strategy checks, the nodes reuse while the forward
+    is on its clean prefix.
     """
     mc = model.cfg
     X = np.asarray(X, dtype=np.float32)
@@ -133,12 +150,17 @@ def forward(
             node_cfg = cfg.restricted(node.gemm_id)
             stream = RngStream(cfg.seed, node.gemm_id, trial, sample)
             rec = FaultRecord() if observer is not None else None
-            C0 = None if prefix is None else prefix[node.gemm_id]
+            C0 = check = None
+            if prefix is not None:
+                C0 = prefix.outputs[node.gemm_id]
+                if strategy is not None:
+                    check = prefix.check(node.gemm_id, A, B)
             if strategy is None:
                 C = faulty_gemm(A, B, node_cfg, stream, record=rec, clean=C0)
             else:
                 ts = STRICT if thresholds is None else thresholds[node.gemm_id]
-                C, det, corr = protect_gemm(A, B, node_cfg, strategy, ts, stream, counter, record=rec, clean=C0)
+                C, det, corr = protect_gemm(A, B, node_cfg, strategy, ts, stream, counter, record=rec,
+                                            clean=C0, check=check)
                 reports[node.gemm_id] = (det, corr)
             # Every node so far returned its clean output itself, so this
             # node's operands are the clean forward's. A node that drew a
@@ -191,21 +213,22 @@ def _forward_body(model: Model, x, run, inv_sqrt_hd):
 class Dataset:
     inputs: list
     labels: list
-    # Per sample, its clean output per gemm_id (read-only) or None, and the
-    # model that computed them; evaluate reuses them on that model only
-    clean_outputs: list[dict[str, np.ndarray] | None] | None = None
+    # Per sample, its clean forward or None, and the model that ran them;
+    # evaluate reuses them on that model only
+    clean_forwards: list[CleanForward | None] | None = None
     clean_model: Model | None = field(default=None, compare=False, repr=False)
 
 
-# Bound on the clean outputs a dataset keeps, in bytes, give or take one
-# sample's: 32 MiB, about 740 samples of the default model (45 KB each).
+# Bound on the clean forwards a dataset keeps, in bytes, give or take one
+# sample's: 32 MiB, about 590 samples of the default model (45 KB of outputs
+# and 12 KB of the float64 checksums its CleanChecks can store, each).
 # Later samples keep none, and their faulty forwards run in full.
 _CLEAN_OUTPUT_BYTES = 32 << 20
 
 
 def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
-    """Inputs labelled by the clean model's argmax, with the clean forwards'
-    node outputs kept for evaluate, up to _CLEAN_OUTPUT_BYTES."""
+    """Inputs labelled by the clean model's argmax, with the clean forwards
+    kept for evaluate, up to _CLEAN_OUTPUT_BYTES."""
     check_int("n_samples", n_samples, 1)
     mc = model.cfg
     rng = np.random.default_rng(data_seed)
@@ -213,7 +236,7 @@ def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
         rng.uniform(-1.0, 1.0, size=(mc.seq_len, mc.embed_dim)).astype(np.float32)
         for _ in range(n_samples)
     ]
-    labels, clean_outputs, kept = [], [], 0
+    labels, clean_forwards, kept = [], [], 0
     for x in inputs:
         outputs: dict[str, np.ndarray] | None = {} if kept < _CLEAN_OUTPUT_BYTES else None
 
@@ -221,11 +244,11 @@ def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
             nonlocal kept
             C.flags.writeable = False  # every faulty forward of x reads it
             outputs[node.gemm_id] = C
-            kept += C.nbytes
+            kept += C.nbytes + 16 * node.shape.k  # and its checksums' k + k float64
 
         labels.append(int(np.argmax(forward(model, x, observer=None if outputs is None else keep)[0])))
-        clean_outputs.append(outputs)
-    return Dataset(inputs, labels, clean_outputs, model)
+        clean_forwards.append(None if outputs is None else CleanForward(outputs))
+    return Dataset(inputs, labels, clean_forwards, model)
 
 
 @dataclass
@@ -249,11 +272,11 @@ def evaluate(
     stats = EvalStats(accuracy=0.0)
     correct = 0
     # a clean run (cfg None) still runs every GEMM
-    reuse = cfg is not None and dataset.clean_outputs is not None and dataset.clean_model is model
+    reuse = cfg is not None and dataset.clean_forwards is not None and dataset.clean_model is model
     for idx, (x, label) in enumerate(zip(dataset.inputs, dataset.labels)):
         logits, reports = forward(
             model, x, cfg, strategy, thresholds, counter, trial=trial, sample=idx,
-            clean=dataset.clean_outputs[idx] if reuse else None,
+            clean=dataset.clean_forwards[idx] if reuse else None,
         )
         if int(np.argmax(logits)) == label:
             correct += 1

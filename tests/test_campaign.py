@@ -156,7 +156,7 @@ def test_pool_workers_share_the_parent_context(pool_sizes, monkeypatch):
 
 
 def _clean_arrays(dataset):
-    return [C for outputs in dataset.clean_outputs for C in outputs.values()]
+    return [C for clean in dataset.clean_forwards for C in clean.outputs.values()]
 
 
 def test_pool_workers_generate_read_only_clean_outputs(pool_sizes, monkeypatch):

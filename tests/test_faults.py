@@ -272,7 +272,7 @@ def test_memoized_draws_are_read_only():
     plan = plans[0]
     assert plan.mul_at.size and plan.rounds  # multiply and accumulate flips
     arrays = list(_plan_arrays(plan))
-    assert len(arrays) == 4 + 5 * len(plan.rounds)
+    assert len(arrays) == 6 + 5 * len(plan.rounds)
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -323,8 +323,8 @@ def test_sums_rejects_products_it_cannot_update_in_place():
     A, B = _operands(12, m, k, n)
     plan = _plan(RngStream(4, "g").gen, 3e-3, m, n, k)
     assert plan.mul_at.size and plan.faulty.size > 1
-    rows, cols = np.divmod(plan.faulty, n)
-    P = A.T[:, rows] * B[:, cols]
+    np.testing.assert_array_equal(plan.rows * n + plan.cols, plan.faulty)
+    P = A.T[:, plan.rows] * B[:, plan.cols]
     assert not P.flags.c_contiguous
     for bad in (P, P.astype(np.float64), np.ascontiguousarray(P[1:]), np.ascontiguousarray(P[:, 1:])):
         with pytest.raises(ValueError, match="C-ordered float32"):

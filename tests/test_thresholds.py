@@ -194,7 +194,7 @@ class TestSearches:
         profiles, _ = search_setup
         cfg = SearchConfig(accuracy_budget=0.01, trials_per_eval=1, ber=1e-6,
                            resolution=0.5, strategy="opt")
-        assert small_dataset.clean_outputs is not None
+        assert small_dataset.clean_forwards is not None
         passed = []
         full_forward = workload.forward
 

@@ -3,7 +3,7 @@ import pytest
 
 from ftgemm.faults import FaultConfig, RngStream
 from ftgemm.abft import ThresholdSet, protect_gemm, strategy_from_name
-from ftgemm import workload
+from ftgemm import abft, workload
 from ftgemm.tensor_core import OpCounter
 from ftgemm.workload import (
     Dataset,
@@ -210,9 +210,10 @@ def test_shared_draw_memo_forward_bits_and_records(default_model, small_dataset)
 
 
 def _run_full_and_reused(model, data, cfg, strategy, thresholds):
-    """(EvalStats, OpCounter, logits bits, per-node FaultRecords) per sample,
-    for data as given and for the same data without its clean outputs, and
-    how many nodes returned a clean output itself."""
+    """(EvalStats, OpCounter, and per sample its logits bits, per-node
+    FaultRecords and per-node reports, detection floats as bits), for data
+    as given and for the same data without its clean forwards, and how many
+    nodes returned a clean output itself."""
     full = Dataset(data.inputs, data.labels)
     runs, reused = [], []
     for dataset in (data, full):
@@ -221,15 +222,17 @@ def _run_full_and_reused(model, data, cfg, strategy, thresholds):
         forwards = []
         for idx, x in enumerate(dataset.inputs):
             records = {}
-            clean = None if dataset.clean_outputs is None else dataset.clean_outputs[idx]
+            clean = None if dataset.clean_forwards is None else dataset.clean_forwards[idx]
 
             def observe(node, A, B, C, rec):
                 records[node.gemm_id] = (rec.error_cells.tobytes(), rec.flips)
-                reused.append(clean is not None and C is clean[node.gemm_id])
+                reused.append(clean is not None and C is clean.outputs[node.gemm_id])
 
-            logits, _ = forward(model, x, cfg, strategy, thresholds, trial=1, sample=idx,
-                                observer=observe, clean=clean)
-            forwards.append((logits.tobytes(), records))
+            logits, reports = forward(model, x, cfg, strategy, thresholds, trial=1, sample=idx,
+                                      observer=observe, clean=clean)
+            reports = {gid: (np.float64(det.msd).tobytes(), np.float64(det.threshold).tobytes(),
+                             det.triggered, corr) for gid, (det, corr) in reports.items()}
+            forwards.append((logits.tobytes(), records, reports))
         runs.append((stats, counter, forwards))
     return runs, sum(reused)
 
@@ -247,7 +250,7 @@ def test_reused_clean_outputs_match_the_full_forward(default_model, small_datase
     # what the same forward gives without it, for every strategy, and
     # reuses exactly the nodes before its first flipped one
     n = 4
-    data = Dataset(small_dataset.inputs[:n], small_dataset.labels[:n], small_dataset.clean_outputs[:n],
+    data = Dataset(small_dataset.inputs[:n], small_dataset.labels[:n], small_dataset.clean_forwards[:n],
                    default_model)
     relaxed = {node.gemm_id: ThresholdSet(1e-2, 1e-3, 1e-3) for node in default_model.nodes}
     for name in MEMO_STRATEGIES:
@@ -256,18 +259,24 @@ def test_reused_clean_outputs_match_the_full_forward(default_model, small_datase
         cfg = FaultConfig(ber, 43, scope=scope, memo={})
         (reused, full), hits = _run_full_and_reused(default_model, data, cfg, strategy, thresholds)
         assert reused == full
-        flips = sum(f for _, records in full[2] for _, f in records.values())
+        flips = sum(f for _, records, _ in full[2] for _, f in records.values())
         assert (flips > 0) == (ber > 0)
         assert hits == clean_prefix
 
 
 def test_clean_outputs_stop_at_their_memory_bound(monkeypatch, default_model, small_dataset):
-    # samples past the bound keep no clean outputs, and their faulty
-    # forwards run the full path
-    per_sample = sum(C.nbytes for C in small_dataset.clean_outputs[0].values())
+    # a sample's bytes count its outputs and the float64 checksums (k + k
+    # per node) its checks can store; samples past the bound keep no clean
+    # forward, and their faulty forwards run the full path
+    outputs = sum(C.nbytes for C in small_dataset.clean_forwards[0].outputs.values())
+    per_sample = outputs + sum(16 * node.shape.k for node in default_model.nodes)
+    assert per_sample == 45096 + 11776
     monkeypatch.setattr(workload, "_CLEAN_OUTPUT_BYTES", per_sample + 1)
     data = generate_dataset(default_model, 4, data_seed=23)
-    assert [outputs is None for outputs in data.clean_outputs] == [False, False, True, True]
+    assert [clean is None for clean in data.clean_forwards] == [False, False, True, True]
+    monkeypatch.setattr(workload, "_CLEAN_OUTPUT_BYTES", per_sample)
+    assert [clean is None for clean in generate_dataset(default_model, 4, 23).clean_forwards] == [
+        False, True, True, True]
     cfg = FaultConfig(1e-8, 43, memo={})
     (reused, full), hits = _run_full_and_reused(default_model, data, cfg, strategy_from_name("baseline"), None)
     assert reused == full and hits == 19 + 10
@@ -282,3 +291,45 @@ def test_clean_outputs_are_reused_on_their_model_only(default_model, small_datas
         stats = evaluate(other, small_dataset, cfg, strategy_from_name("baseline"), counter=got)
         assert (stats, got) == (evaluate(other, full, cfg, strategy_from_name("baseline"), counter=want), want)
         assert stats.accuracy < 1.0
+
+
+def test_stored_clean_detection_that_triggers_ends_the_prefix(monkeypatch, default_model):
+    # with no round-off floor, a clean output's own round-off fires strict
+    # detection: from its stored MSD on the prefix, as from detect on the
+    # full path. Correction copies, so the prefix ends at the first strict
+    # node; the nodes before it have thresholds far above round-off.
+    monkeypatch.setattr(abft, "REL_EPS", 0.0)
+    data = generate_dataset(default_model, 4, data_seed=23)  # its checks are stored with no floor
+    ids = [node.gemm_id for node in default_model.nodes]
+    thresholds = {gid: ThresholdSet(1.0 if i < 5 else 0.0) for i, gid in enumerate(ids)}
+    for ber in (0.0, 1e-8):
+        cfg = FaultConfig(ber, 43, memo={})
+        (reused, full), hits = _run_full_and_reused(default_model, data, cfg, strategy_from_name("opt"),
+                                                    thresholds)
+        assert reused == full
+        assert hits == 4 * 5
+        assert all(reports[ids[5]][2] for _, _, reports in full[2])
+
+
+def test_stored_checks_serve_later_forwards_only_from_the_clean_prefix(monkeypatch, default_model):
+    # a BER 1e-5 forward flips node 0 of every sample, so it may store node
+    # 0's checks only; BER 0 forwards then store the rest from clean
+    # operands, and a second one computes no checksum and runs no detect
+    data = generate_dataset(default_model, 4, data_seed=23)
+    baseline = strategy_from_name("baseline")
+    evaluate(default_model, data, FaultConfig(1e-5, 43), baseline)
+    assert [list(clean.checks) for clean in data.clean_forwards] == [[default_model.nodes[0].gemm_id]] * 4
+    (reused, full), hits = _run_full_and_reused(default_model, data, FaultConfig(0.0, 43), baseline, None)
+    assert reused == full and hits == 4 * 21
+    calls = []
+    for name in ("precompute_checksums", "detect"):
+        def counted(*args, _stage=getattr(abft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(abft, name, counted)
+    got, want = OpCounter(), OpCounter()
+    stats = evaluate(default_model, data, FaultConfig(0.0, 43), baseline, counter=got)
+    assert calls == []
+    assert (stats, got) == (evaluate(default_model, Dataset(data.inputs, data.labels), FaultConfig(0.0, 43),
+                                     baseline, counter=want), want)
+    assert calls.count("precompute_checksums") == calls.count("detect") == 4 * 21
