@@ -89,7 +89,7 @@ class DetectionReport:
 @dataclass(frozen=True)
 class CleanCheck:
     """The checks of one GEMM on clean operands, which every protected
-    forward on its sample's clean prefix shares: the checksums, with
+    forward of its sample that reads them shares: the checksums, with
     a_colsum and b_rowsum read-only, the clean output's MSD and the
     round-off floor fp_floor(checksums.total_scale)."""
 

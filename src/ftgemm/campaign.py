@@ -237,7 +237,7 @@ def _init_worker(
     model: Model, thresholds: dict[float, dict[str, ThresholdSet] | None], config: CampaignConfig
 ):
     global _WORKER_CTX
-    # The pool is sent no dataset: its clean outputs, about 22 times the
+    # The pool is sent no dataset: its clean forwards, about 48 times the
     # size of its inputs, would be pickled for every worker and come back
     # writeable. Each worker generates it again, as _build_context did.
     dataset = generate_dataset(model, config.n_samples, config.data_seed)

@@ -8,7 +8,7 @@ holding the accuracy loss of each step under a budget. Accuracy evaluations
 reuse the same trial seeds (common random numbers) so feasibility checks are
 deterministic, and one search draws each fault stream once: its FaultConfig
 carries a draw memo. Searches run the held-out forwards in full, without
-the dataset's clean outputs (see _mean_accuracy).
+the dataset's clean forwards (see _mean_accuracy).
 """
 
 from __future__ import annotations
@@ -197,9 +197,9 @@ def _mean_accuracy(
 ) -> float:
     strategy = strategy_from_name(cfg.strategy)
     thresholds = thresholds_from_assignment(profiles, assignment)
-    # The inputs alone, without clean outputs to reuse: a search replays the
+    # The inputs alone, without clean values to reuse: a search replays the
     # same few fault streams at every step, so reuse would set its time by
-    # where those streams first flip (1.07x to 1.5x faster over 16 seeds of
+    # which nodes those streams flip (1.07x to 1.5x faster over 16 seeds of
     # a two-sample search) rather than by its size. Results are the same.
     inputs_only = Dataset(dataset.inputs, dataset.labels)
     accs = [

@@ -1,4 +1,5 @@
-"""Deterministic toy transformer workload expressed as a graph of GEMM nodes.
+"""Deterministic toy transformer workload expressed as a dataflow graph of
+named values, of which the GEMM nodes are the ones faults hit.
 
 The model is a pre-layernorm transformer with random (untrained) weights and a
 self-labeled dataset: labels are the clean model's own argmax, so clean
@@ -9,7 +10,11 @@ defined at desk scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from functools import partial
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,62 +50,90 @@ class GemmNode:
     shape: GemmShape
 
 
+class Step(NamedTuple):
+    """A named value of a forward: fn(gather(values)), fn applied to the
+    value named by inputs, or to the tuple of values if inputs has several;
+    with fn None, GEMM node `name` on them, B its weight if inputs is (A,)."""
+
+    name: str
+    fn: Callable | None
+    inputs: tuple[str, ...]
+    gather: itemgetter  # itemgetter(*inputs), so forward fetches them in one C call
+
+
 class Model:
-    def __init__(self, cfg: ModelConfig, nodes, weights):
+    def __init__(self, cfg: ModelConfig, nodes, weights, steps):
         self.cfg = cfg
         self.nodes = list(nodes)  # topological order
         self.node_by_id = {n.gemm_id: n for n in self.nodes}
         self.weights = weights  # gemm_id -> float32 weight matrix
+        self.steps = steps  # every named value but "input", in topological order
+
+
+def _head_q(lo, hi, scale, Q):
+    return Q[:, lo:hi] * scale
+
+
+def _head(lo, hi, transpose, X):
+    """Columns lo:hi of X, transposed if asked, C-contiguous."""
+    return np.ascontiguousarray(X[:, lo:hi].T if transpose else X[:, lo:hi])
+
+
+def _add(xy):
+    return np.add(*xy)
 
 
 def build_model(cfg: ModelConfig) -> Model:
     rng = np.random.default_rng(cfg.weight_seed)
-    d = cfg.embed_dim
-    s = cfg.seq_len
-    hd = cfg.head_dim
-    ff = cfg.ff_multiplier * d
+    d, s, hd, ff = cfg.embed_dim, cfg.seq_len, cfg.head_dim, cfg.ff_multiplier * cfg.embed_dim
+    scale = np.float32(1.0 / math.sqrt(hd))
+    nodes, weights, steps = [], {}, []
 
-    def draw(fan_in, fan_out):
-        b = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-b, b, size=(fan_in, fan_out)).astype(np.float32)
+    def value(name, fn, *inputs):
+        steps.append(Step(name, fn, inputs, itemgetter(*inputs)))
+        return name
 
-    nodes: list[GemmNode] = []
-    weights: dict[str, np.ndarray] = {}
+    def node(gemm_id, shape, *inputs):
+        nodes.append(GemmNode(gemm_id, shape))
+        if len(inputs) == 1:
+            b = 1.0 / math.sqrt(shape.k)
+            weights[gemm_id] = rng.uniform(-b, b, size=(shape.k, shape.n)).astype(np.float32)
+        return value(gemm_id, None, *inputs)
+
+    x = "input"
     for layer in range(cfg.num_layers):
-        for name in ("q", "k", "v"):
-            nid = f"layer{layer}.attn.{name}"
-            nodes.append(GemmNode(nid, GemmShape(s, d, d)))
-            weights[nid] = draw(d, d)
-        for h in range(cfg.num_heads):
-            nodes.append(GemmNode(f"layer{layer}.attn.head{h}.score", GemmShape(s, hd, s)))
-            nodes.append(GemmNode(f"layer{layer}.attn.head{h}.value", GemmShape(s, s, hd)))
-        nid = f"layer{layer}.attn.out"
-        nodes.append(GemmNode(nid, GemmShape(s, d, d)))
-        weights[nid] = draw(d, d)
-        nid = f"layer{layer}.ff.in"
-        nodes.append(GemmNode(nid, GemmShape(s, d, ff)))
-        weights[nid] = draw(d, ff)
-        nid = f"layer{layer}.ff.out"
-        nodes.append(GemmNode(nid, GemmShape(s, ff, d)))
-        weights[nid] = draw(ff, d)
-    nodes.append(GemmNode("classifier", GemmShape(1, d, cfg.num_classes)))
-    weights["classifier"] = draw(d, cfg.num_classes)
-    return Model(cfg, nodes, weights)
+        a, f = f"layer{layer}.attn", f"layer{layer}.ff"
+        h = value(f"{a}.norm", layernorm_rows, x)
+        q, k, v = (node(f"{a}.{name}", GemmShape(s, d, d), h) for name in "qkv")
+        heads = []
+        for hh in range(cfg.num_heads):
+            lo, hi, p = hh * hd, (hh + 1) * hd, f"{a}.head{hh}"
+            qh = value(f"{p}.q", partial(_head_q, lo, hi, scale), q)
+            score = node(f"{p}.score", GemmShape(s, hd, s), qh, value(f"{p}.kT", partial(_head, lo, hi, True), k))
+            vh = value(f"{p}.v", partial(_head, lo, hi, False), v)
+            heads.append(node(f"{p}.value", GemmShape(s, s, hd), value(f"{p}.probs", softmax_rows, score), vh))
+        attn = node(f"{a}.out", GemmShape(s, d, d), value(f"{a}.concat", partial(np.concatenate, axis=1), *heads))
+        x = value(f"{a}.residual", _add, x, attn)
+        up = node(f"{f}.in", GemmShape(s, d, ff), value(f"{f}.norm", layernorm_rows, x))
+        x = value(f"{f}.residual", _add, x, node(f"{f}.out", GemmShape(s, ff, d), value(f"{f}.gelu", gelu, up)))
+    pooled = value("pooled", partial(np.ndarray.mean, axis=0, dtype=np.float32, keepdims=True), x)
+    node("classifier", GemmShape(1, d, cfg.num_classes), pooled)
+    return Model(cfg, nodes, weights, steps)
 
 
 @dataclass
 class CleanForward:
-    """One sample's clean forward, which its faulty forwards reuse on their
-    clean prefix: each node's output (read-only), and the CleanCheck of each
-    node a protected forward has reached on its prefix, stored by the first."""
+    """One sample's clean forward, which its faulty forwards reuse by
+    dataflow: every named value (read-only), and the CleanCheck of each GEMM
+    node a protected forward has run on clean operands, stored by the first."""
 
-    outputs: dict[str, np.ndarray]
+    values: dict[str, np.ndarray]
     checks: dict[str, CleanCheck] = field(default_factory=dict)
 
     def check(self, gemm_id: str, A, B) -> CleanCheck:
         """gemm_id's CleanCheck; A and B must be its clean forward's operands."""
         if gemm_id not in self.checks:
-            self.checks[gemm_id] = clean_check(A, B, self.outputs[gemm_id])
+            self.checks[gemm_id] = clean_check(A, B, self.values[gemm_id])
         return self.checks[gemm_id]
 
 
@@ -115,6 +148,7 @@ def forward(
     sample: int = 0,
     observer=None,
     clean: CleanForward | None = None,
+    values: dict | None = None,
 ):
     """One forward pass; returns (logits vector, {gemm_id: (det, corr)}).
 
@@ -123,90 +157,62 @@ def forward(
     thresholds[gemm_id] (strict for every node when thresholds is None).
     `counter`, when given, is charged each node's m*k*n workload multiplies
     here and its ABFT operations in protect_gemm. `observer`, when given, is
-    called as observer(node, A, B, C, record) after each node. `clean`, when
-    given with a cfg, is X's clean forward (Dataset.clean_forwards), whose
-    outputs, and under a strategy checks, the nodes reuse while the forward
-    is on its clean prefix.
+    called as observer(node, A, B, C, record) after each node. `values`,
+    when given, receives every named value ("input" and model.steps').
+    `clean`, with a cfg, is a clean forward of this model, used only if its
+    input is X itself. A value is clean when it is one of its arrays, or a
+    weight. A step whose inputs are all clean takes its stored value: as its
+    result, or for a GEMM node as faulty_gemm's or protect_gemm's `clean`,
+    with its CleanCheck, which they return unless it draws a flip or
+    detection triggers.
     """
     mc = model.cfg
     X = np.asarray(X, dtype=np.float32)
     if X.shape != (mc.seq_len, mc.embed_dim):
         raise ValueError(f"input shape {X.shape} != {(mc.seq_len, mc.embed_dim)}")
     reports: dict[str, tuple] = {}
-    prefix = clean  # None once a node's output may differ from the clean one
+    env = {} if values is None else values
+    env["input"] = X
+    stored = clean.values if clean is not None and clean.values["input"] is X else None
+    same = {"input"}  # with stored, the names whose value is the stored array itself
 
-    def run(gemm_id: str, A, B=None):
-        """One GEMM node; B defaults to the node's weight matrix."""
-        nonlocal prefix
+    def run(gemm_id: str, C0, operands):
+        """One GEMM node on operands (A, B), or on A and its weight matrix;
+        C0 is its clean output if its operands are clean."""
         node = model.node_by_id[gemm_id]
-        if B is None:
-            B = model.weights[gemm_id]
+        A, B = operands if type(operands) is tuple else (operands, model.weights[gemm_id])
         if counter is not None:
             counter.workload_mults += node.shape.macs
         if cfg is None:
-            C = gemm(A, B)
-            rec = None
+            C, rec = gemm(A, B), None
         else:
-            node_cfg = cfg.restricted(node.gemm_id)
-            stream = RngStream(cfg.seed, node.gemm_id, trial, sample)
+            node_cfg = cfg.restricted(gemm_id)
+            stream = RngStream(cfg.seed, gemm_id, trial, sample)
             rec = FaultRecord() if observer is not None else None
-            C0 = check = None
-            if prefix is not None:
-                C0 = prefix.outputs[node.gemm_id]
-                if strategy is not None:
-                    check = prefix.check(node.gemm_id, A, B)
             if strategy is None:
                 C = faulty_gemm(A, B, node_cfg, stream, record=rec, clean=C0)
             else:
-                ts = STRICT if thresholds is None else thresholds[node.gemm_id]
+                ts = STRICT if thresholds is None else thresholds[gemm_id]
+                check = None if C0 is None else clean.check(gemm_id, A, B)
                 C, det, corr = protect_gemm(A, B, node_cfg, strategy, ts, stream, counter, record=rec,
                                             clean=C0, check=check)
-                reports[node.gemm_id] = (det, corr)
-            # Every node so far returned its clean output itself, so this
-            # node's operands are the clean forward's. A node that drew a
-            # flip, or whose detection triggered (correction copies), returns
-            # a new array, and the operands of later nodes may differ.
-            if C is not C0:
-                prefix = None
+                reports[gemm_id] = (det, corr)
         if observer is not None:
             observer(node, A, B, C, rec)
         return C
 
-    inv_sqrt_hd = np.float32(1.0 / math.sqrt(mc.head_dim))
-    x = X
     # Injected faults legitimately produce overflow/NaN; let them propagate
     # silently instead of warning on every arithmetic op.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _forward_body(model, x, run, inv_sqrt_hd), reports
-
-
-def _forward_body(model: Model, x, run, inv_sqrt_hd):
-    mc = model.cfg
-    for layer in range(mc.num_layers):
-        h = layernorm_rows(x)
-        Q = run(f"layer{layer}.attn.q", h)
-        K = run(f"layer{layer}.attn.k", h)
-        V = run(f"layer{layer}.attn.v", h)
-        head_outs = []
-        for hh in range(mc.num_heads):
-            lo, hi = hh * mc.head_dim, (hh + 1) * mc.head_dim
-            Qh = (Q[:, lo:hi] * inv_sqrt_hd).astype(np.float32)
-            KhT = np.ascontiguousarray(K[:, lo:hi].T)
-            S = run(f"layer{layer}.attn.head{hh}.score", Qh, KhT)
-            P = softmax_rows(S)
-            Vh = np.ascontiguousarray(V[:, lo:hi])
-            head_outs.append(run(f"layer{layer}.attn.head{hh}.value", P, Vh))
-        O = np.concatenate(head_outs, axis=1)
-        attn = run(f"layer{layer}.attn.out", O)
-        x = (x + attn).astype(np.float32)
-        h2 = layernorm_rows(x)
-        F1 = run(f"layer{layer}.ff.in", h2)
-        G = gelu(F1)
-        F2 = run(f"layer{layer}.ff.out", G)
-        x = (x + F2).astype(np.float32)
-    pooled = x.mean(axis=0, dtype=np.float32).reshape(1, mc.embed_dim)
-    logits = run("classifier", pooled)
-    return logits.ravel()
+        for name, fn, inputs, gather in model.steps:
+            C0 = stored[name] if stored is not None and same.issuperset(inputs) else None
+            if fn is None:
+                C = env[name] = run(name, C0, gather(env))
+            else:
+                C = env[name] = fn(gather(env)) if C0 is None else C0
+            if C is C0:
+                same.add(name)
+    return env["classifier"].ravel(), reports
 
 
 @dataclass
@@ -214,15 +220,15 @@ class Dataset:
     inputs: list
     labels: list
     # Per sample, its clean forward or None, and the model that ran them;
-    # evaluate reuses them on that model only
+    # evaluate reuses them on that model only, for the inputs they ran on
     clean_forwards: list[CleanForward | None] | None = None
     clean_model: Model | None = field(default=None, compare=False, repr=False)
 
 
 # Bound on the clean forwards a dataset keeps, in bytes, give or take one
-# sample's: 32 MiB, about 590 samples of the default model (45 KB of outputs
-# and 12 KB of the float64 checksums its CleanChecks can store, each).
-# Later samples keep none, and their faulty forwards run in full.
+# sample's: 32 MiB, about 300 samples of the default model (98 KB of values
+# besides the input, and 12 KB of the float64 checksums its CleanChecks can
+# store, each). Later samples keep none, and their faulty forwards run in full.
 _CLEAN_OUTPUT_BYTES = 32 << 20
 
 
@@ -230,24 +236,18 @@ def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
     """Inputs labelled by the clean model's argmax, with the clean forwards
     kept for evaluate, up to _CLEAN_OUTPUT_BYTES."""
     check_int("n_samples", n_samples, 1)
-    mc = model.cfg
-    rng = np.random.default_rng(data_seed)
-    inputs = [
-        rng.uniform(-1.0, 1.0, size=(mc.seq_len, mc.embed_dim)).astype(np.float32)
-        for _ in range(n_samples)
-    ]
+    mc, rng = model.cfg, np.random.default_rng(data_seed)
+    inputs = [rng.uniform(-1.0, 1.0, size=(mc.seq_len, mc.embed_dim)).astype(np.float32) for _ in range(n_samples)]
+    checksums = sum(16 * node.shape.k for node in model.nodes)  # k + k float64 per node
     labels, clean_forwards, kept = [], [], 0
     for x in inputs:
-        outputs: dict[str, np.ndarray] | None = {} if kept < _CLEAN_OUTPUT_BYTES else None
-
-        def keep(node, A, B, C, rec):
-            nonlocal kept
-            C.flags.writeable = False  # every faulty forward of x reads it
-            outputs[node.gemm_id] = C
-            kept += C.nbytes + 16 * node.shape.k  # and its checksums' k + k float64
-
-        labels.append(int(np.argmax(forward(model, x, observer=None if outputs is None else keep)[0])))
-        clean_forwards.append(None if outputs is None else CleanForward(outputs))
+        values = {}
+        labels.append(int(np.argmax(forward(model, x, values=values)[0])))
+        clean_forwards.append(CleanForward(values) if kept < _CLEAN_OUTPUT_BYTES else None)
+        if clean_forwards[-1] is not None:
+            for v in values.values():
+                v.setflags(write=False)  # every faulty forward of x reads it
+            kept += sum(v.nbytes for v in values.values()) - x.nbytes + checksums
     return Dataset(inputs, labels, clean_forwards, model)
 
 

@@ -210,10 +210,11 @@ def test_shared_draw_memo_forward_bits_and_records(default_model, small_dataset)
 
 
 def _run_full_and_reused(model, data, cfg, strategy, thresholds):
-    """(EvalStats, OpCounter, and per sample its logits bits, per-node
-    FaultRecords and per-node reports, detection floats as bits), for data
-    as given and for the same data without its clean forwards, and how many
-    nodes returned a clean output itself."""
+    """(EvalStats, OpCounter, and per sample its logits bits, every named
+    value's bits, per-node FaultRecords and per-node reports, detection
+    floats as bits), for data as given and for the same data without its
+    clean forwards; and per forward of data that has a clean forward, for
+    each GEMM node in order, whether it returned the stored output itself."""
     full = Dataset(data.inputs, data.labels)
     runs, reused = [], []
     for dataset in (data, full):
@@ -221,34 +222,58 @@ def _run_full_and_reused(model, data, cfg, strategy, thresholds):
         stats = evaluate(model, dataset, cfg, strategy, thresholds, counter, trial=1)
         forwards = []
         for idx, x in enumerate(dataset.inputs):
-            records = {}
+            records, values, hits = {}, {}, []
             clean = None if dataset.clean_forwards is None else dataset.clean_forwards[idx]
 
             def observe(node, A, B, C, rec):
                 records[node.gemm_id] = (rec.error_cells.tobytes(), rec.flips)
-                reused.append(clean is not None and C is clean.outputs[node.gemm_id])
+                hits.append(clean is not None and C is clean.values[node.gemm_id])
 
             logits, reports = forward(model, x, cfg, strategy, thresholds, trial=1, sample=idx,
-                                      observer=observe, clean=clean)
+                                      observer=observe, clean=clean, values=values)
             reports = {gid: (np.float64(det.msd).tobytes(), np.float64(det.threshold).tobytes(),
                              det.triggered, corr) for gid, (det, corr) in reports.items()}
-            forwards.append((logits.tobytes(), records, reports))
+            values = {name: v.tobytes() for name, v in values.items()}
+            forwards.append((logits.tobytes(), values, records, reports))
+            if clean is not None:
+                reused.append(hits)
         runs.append((stats, counter, forwards))
-    return runs, sum(reused)
+    return runs, reused
 
 
-# fault seed 43 first flips nodes 19 and 10 of samples 0 and 1 at 1e-8
-# (none of 2, 3), nodes 16, 10 and 8 of samples 0-2 at 1e-7 (none of 3),
-# and node 0 of each sample from 1e-5; in scope, layer0.ff.in is node 8
+def _leading(hits):
+    """How many nodes of a forward returned their stored output before the
+    first that did not."""
+    return next((i for i, hit in enumerate(hits) if not hit), len(hits))
+
+
+SCOPE = frozenset({"layer0.ff.in", "layer1.attn.head0.score"})
+# Fault seed 43 (trial 1) flips these nodes of samples 0 | 1 | 2 | 3 (node
+# i is default_model.nodes[i]; 0-2 are layer0.attn.q, k, v, 10-12 layer 1's,
+# 8 layer0.ff.in, 13 layer1.attn.head0.score, 20 the classifier):
+#   1e-8: 19 | 10 | - | -
+#   1e-7: 16-19 | 10, 11, 19 | 8 | -
+#   1e-5 and 1e-4: 0-2 of each sample, and most others
+#   SCOPE at 1e-5: 8, 13 | 8, 13 | 8 | 8, 13
+# A node returns its stored output when neither it nor any node whose
+# output it reads, directly or through other steps, draws a flip. A flip in
+# layer1.attn.q taints layer 1's scores and everything after them, but not
+# layer1.attn.k or .v; one in layer1.attn.k spares .v alone. So the nodes
+# reused per sample are 19 + 12 + 21 + 21 at 1e-8, 16 + 11 + 8 + 21 at
+# 1e-7 (sample 1 keeps 0-9 and 12), none from 1e-5 and 4 * 8 in SCOPE.
+# clean_prefix counts the nodes before each forward's first flip.
+DATAFLOW_HITS = {(0.0, None): 84, (1e-8, None): 73, (1e-7, None): 56, (1e-5, None): 0, (1e-4, None): 0,
+                 (1e-5, SCOPE): 32}
+
+
 @pytest.mark.parametrize("ber, scope, clean_prefix", [
     (0.0, None, 84), (1e-8, None, 19 + 10 + 21 + 21), (1e-7, None, 16 + 10 + 8 + 21),
-    (1e-5, None, 0), (1e-4, None, 0),
-    (1e-5, frozenset({"layer0.ff.in", "layer1.attn.head0.score"}), 4 * 8),
+    (1e-5, None, 0), (1e-4, None, 0), (1e-5, SCOPE, 4 * 8),
 ])
 def test_reused_clean_outputs_match_the_full_forward(default_model, small_dataset, ber, scope, clean_prefix):
-    # a faulty forward that reads its clean prefix from the dataset gives
-    # what the same forward gives without it, for every strategy, and
-    # reuses exactly the nodes before its first flipped one
+    # a faulty forward that reads clean values from the dataset gives what
+    # the same forward gives without them, for every strategy, every named
+    # value included, and reuses exactly the nodes no flip reaches
     n = 4
     data = Dataset(small_dataset.inputs[:n], small_dataset.labels[:n], small_dataset.clean_forwards[:n],
                    default_model)
@@ -259,18 +284,21 @@ def test_reused_clean_outputs_match_the_full_forward(default_model, small_datase
         cfg = FaultConfig(ber, 43, scope=scope, memo={})
         (reused, full), hits = _run_full_and_reused(default_model, data, cfg, strategy, thresholds)
         assert reused == full
-        flips = sum(f for _, records, _ in full[2] for _, f in records.values())
+        flips = sum(f for _, _, records, _ in full[2] for _, f in records.values())
         assert (flips > 0) == (ber > 0)
-        assert hits == clean_prefix
+        assert sum(map(sum, hits)) == DATAFLOW_HITS[ber, scope]
+        assert sum(map(_leading, hits)) == clean_prefix
 
 
 def test_clean_outputs_stop_at_their_memory_bound(monkeypatch, default_model, small_dataset):
-    # a sample's bytes count its outputs and the float64 checksums (k + k
-    # per node) its checks can store; samples past the bound keep no clean
+    # a sample's bytes count every value of its clean forward but the input
+    # (which the dataset keeps anyway) and the float64 checksums (k + k per
+    # node) its checks can store; samples past the bound keep no clean
     # forward, and their faulty forwards run the full path
-    outputs = sum(C.nbytes for C in small_dataset.clean_forwards[0].outputs.values())
-    per_sample = outputs + sum(16 * node.shape.k for node in default_model.nodes)
-    assert per_sample == 45096 + 11776
+    values = small_dataset.clean_forwards[0].values
+    per_sample = sum(v.nbytes for name, v in values.items() if name != "input")
+    per_sample += sum(16 * node.shape.k for node in default_model.nodes)
+    assert per_sample == 98472 + 11776
     monkeypatch.setattr(workload, "_CLEAN_OUTPUT_BYTES", per_sample + 1)
     data = generate_dataset(default_model, 4, data_seed=23)
     assert [clean is None for clean in data.clean_forwards] == [False, False, True, True]
@@ -279,7 +307,7 @@ def test_clean_outputs_stop_at_their_memory_bound(monkeypatch, default_model, sm
         False, True, True, True]
     cfg = FaultConfig(1e-8, 43, memo={})
     (reused, full), hits = _run_full_and_reused(default_model, data, cfg, strategy_from_name("baseline"), None)
-    assert reused == full and hits == 19 + 10
+    assert reused == full and sum(map(sum, hits)) == 19 + 12 and len(hits) == 2
 
 
 def test_clean_outputs_are_reused_on_their_model_only(default_model, small_dataset):
@@ -293,34 +321,105 @@ def test_clean_outputs_are_reused_on_their_model_only(default_model, small_datas
         assert stats.accuracy < 1.0
 
 
+def test_clean_forwards_are_reused_for_their_own_inputs_only(default_model, small_dataset):
+    # clean forwards paired with other inputs: each forward tests its input
+    # by identity, finds it is not the clean forward's, and runs in full
+    other = generate_dataset(default_model, 4, data_seed=29)
+    swapped = Dataset(other.inputs, other.labels, small_dataset.clean_forwards[:4], default_model)
+    full = Dataset(other.inputs, other.labels)
+    for cfg in (FaultConfig(0.0, 3), FaultConfig(1e-8, 3)):
+        for name in ("none", "baseline"):
+            got, want = OpCounter(), OpCounter()
+            stats = evaluate(default_model, swapped, cfg, strategy_from_name(name), counter=got)
+            assert (stats, got) == (evaluate(default_model, full, cfg, strategy_from_name(name), counter=want),
+                                    want)
+            assert stats.accuracy == 1.0
+
+
+def _values(model, x, cfg, strategy, clean=None):
+    values = {}
+    forward(model, x, cfg, strategy, clean=clean, values=values)
+    return values
+
+
+def test_a_ber_zero_forward_returns_every_stored_value(default_model, small_dataset):
+    clean = small_dataset.clean_forwards[0]
+    assert len(clean.values) == 1 + len(default_model.steps)
+    for name in ("none", "baseline"):
+        values = _values(default_model, small_dataset.inputs[0], FaultConfig(0.0, 3), strategy_from_name(name),
+                         clean)
+        assert values.keys() == clean.values.keys()
+        assert all(values[key] is stored for key, stored in clean.values.items())
+
+
+def test_a_flip_in_q_leaves_k_and_v_reused(default_model):
+    # every flip of the forward is in layer0.attn.q; .k and .v read the
+    # clean layernorm output, so they return their stored outputs and store
+    # their CleanChecks, and so do the head slices of K and V
+    clean = generate_dataset(default_model, 1, data_seed=23).clean_forwards[0]
+    x, stored = clean.values["input"], clean.values
+    cfg = FaultConfig(1e-4, 43, scope=frozenset({"layer0.attn.q"}))
+    values = _values(default_model, x, cfg, strategy_from_name("baseline"), clean)
+    a = "layer0.attn"
+    reused = {f"{a}.norm", f"{a}.k", f"{a}.v", f"{a}.head0.kT", f"{a}.head0.v", f"{a}.head1.kT", f"{a}.head1.v"}
+    assert {key for key, v in values.items() if v is stored[key]} == {"input", *reused}
+    assert set(clean.checks) == {f"{a}.q", f"{a}.k", f"{a}.v"}
+    full = _values(default_model, x, cfg, strategy_from_name("baseline"))
+    assert all(values[key].tobytes() == v.tobytes() for key, v in full.items())
+
+
+def test_a_flip_in_one_head_leaves_the_other_reused(default_model, small_dataset):
+    # every flip is in layer0.attn.head0.score. head1's score and value read
+    # clean operands and return their stored outputs. head0.value (probs
+    # faulty, v clean) and the concatenation (head0 faulty, head1 clean)
+    # have one faulty input each, and are recomputed.
+    x, stored = small_dataset.inputs[1], small_dataset.clean_forwards[1].values
+    cfg = FaultConfig(1e-4, 43, scope=frozenset({"layer0.attn.head0.score"}))
+    for name in MEMO_STRATEGIES:
+        values = _values(default_model, x, cfg, strategy_from_name(name), small_dataset.clean_forwards[1])
+        a = "layer0.attn"
+        assert {key for key, v in values.items() if v is stored[key]} == {
+            "input", f"{a}.norm", f"{a}.q", f"{a}.k", f"{a}.v", f"{a}.head0.q", f"{a}.head0.kT", f"{a}.head0.v",
+            f"{a}.head1.q", f"{a}.head1.kT", f"{a}.head1.score", f"{a}.head1.probs", f"{a}.head1.v",
+            f"{a}.head1.value"}
+        full = _values(default_model, x, cfg, strategy_from_name(name))
+        for key in (f"{a}.head0.value", f"{a}.concat"):
+            assert values[key].tobytes() == full[key].tobytes() != stored[key].tobytes()
+        assert values["classifier"].tobytes() == full["classifier"].tobytes()
+
+
 def test_stored_clean_detection_that_triggers_ends_the_prefix(monkeypatch, default_model):
     # with no round-off floor, a clean output's own round-off fires strict
-    # detection: from its stored MSD on the prefix, as from detect on the
-    # full path. Correction copies, so the prefix ends at the first strict
-    # node; the nodes before it have thresholds far above round-off.
+    # detection: from its stored MSD when its operands are clean, as from
+    # detect on the full path. Correction copies, so the strict node and
+    # what reads it are recomputed: of layer0.attn.head0.score's forward,
+    # q, k, v and head1's score and value still return their stored outputs.
+    # The other nodes have thresholds far above round-off.
     monkeypatch.setattr(abft, "REL_EPS", 0.0)
     data = generate_dataset(default_model, 4, data_seed=23)  # its checks are stored with no floor
     ids = [node.gemm_id for node in default_model.nodes]
-    thresholds = {gid: ThresholdSet(1.0 if i < 5 else 0.0) for i, gid in enumerate(ids)}
+    thresholds = {gid: ThresholdSet(0.0 if i == 3 else 1.0) for i, gid in enumerate(ids)}
     for ber in (0.0, 1e-8):
         cfg = FaultConfig(ber, 43, memo={})
         (reused, full), hits = _run_full_and_reused(default_model, data, cfg, strategy_from_name("opt"),
                                                     thresholds)
         assert reused == full
-        assert hits == 4 * 5
-        assert all(reports[ids[5]][2] for _, _, reports in full[2])
+        assert hits == [[True] * 3 + [False, False, True, True] + [False] * 14] * 4
+        assert all(reports[ids[3]][2] for _, _, _, reports in full[2])
 
 
 def test_stored_checks_serve_later_forwards_only_from_the_clean_prefix(monkeypatch, default_model):
-    # a BER 1e-5 forward flips node 0 of every sample, so it may store node
-    # 0's checks only; BER 0 forwards then store the rest from clean
-    # operands, and a second one computes no checksum and runs no detect
+    # a BER 1e-5 forward flips layer0.attn.q, k and v of every sample, so it
+    # may store only their checks, whose operands are the clean layernorm
+    # output; BER 0 forwards then store the rest from clean operands, and a
+    # second one computes no checksum and runs no detect
     data = generate_dataset(default_model, 4, data_seed=23)
     baseline = strategy_from_name("baseline")
     evaluate(default_model, data, FaultConfig(1e-5, 43), baseline)
-    assert [list(clean.checks) for clean in data.clean_forwards] == [[default_model.nodes[0].gemm_id]] * 4
+    qkv = [node.gemm_id for node in default_model.nodes[:3]]
+    assert [list(clean.checks) for clean in data.clean_forwards] == [qkv] * 4
     (reused, full), hits = _run_full_and_reused(default_model, data, FaultConfig(0.0, 43), baseline, None)
-    assert reused == full and hits == 4 * 21
+    assert reused == full and sum(map(sum, hits)) == 4 * 21
     calls = []
     for name in ("precompute_checksums", "detect"):
         def counted(*args, _stage=getattr(abft, name), _name=name, **kwargs):
