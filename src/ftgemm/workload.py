@@ -51,14 +51,23 @@ class GemmNode:
 
 
 class Step(NamedTuple):
-    """A named value of a forward: fn(gather(values)), fn applied to the
-    value named by inputs, or to the tuple of values if inputs has several;
-    with fn None, GEMM node `name` on them, B its weight if inputs is (A,)."""
+    """A named value of a forward: fn applied to the values named by inputs,
+    or with fn None, GEMM node `name` on them (its operands A and B)."""
 
     name: str
     fn: Callable | None
     inputs: tuple[str, ...]
-    gather: itemgetter  # itemgetter(*inputs), so forward fetches them in one C call
+    gather: Callable  # _gather(inputs), so forward fetches them in one call
+
+
+def _gather(inputs):
+    """A function of a forward's values that returns the tuple of those
+    named by inputs (picklable, as pool workers get the model)."""
+    return itemgetter(*inputs) if len(inputs) > 1 else partial(_gather_one, *inputs)
+
+
+def _gather_one(name, env):
+    return (env[name],)
 
 
 class Model:
@@ -66,8 +75,8 @@ class Model:
         self.cfg = cfg
         self.nodes = list(nodes)  # topological order
         self.node_by_id = {n.gemm_id: n for n in self.nodes}
-        self.weights = weights  # gemm_id -> float32 weight matrix
-        self.steps = steps  # every named value but "input", in topological order
+        self.weights = weights  # "<gemm_id>.weight" -> float32 weight matrix
+        self.steps = steps  # every named value but the input and the weights, in topological order
 
 
 def _head_q(lo, hi, scale, Q):
@@ -79,43 +88,58 @@ def _head(lo, hi, transpose, X):
     return np.ascontiguousarray(X[:, lo:hi].T if transpose else X[:, lo:hi])
 
 
-def _add(xy):
-    return np.add(*xy)
+def _concat(*heads):
+    return np.concatenate(heads, axis=1)
 
 
 def build_model(cfg: ModelConfig) -> Model:
     rng = np.random.default_rng(cfg.weight_seed)
-    d, s, hd, ff = cfg.embed_dim, cfg.seq_len, cfg.head_dim, cfg.ff_multiplier * cfg.embed_dim
+    d = cfg.embed_dim
+    s = cfg.seq_len
+    hd = cfg.head_dim
+    ff = cfg.ff_multiplier * d
     scale = np.float32(1.0 / math.sqrt(hd))
     nodes, weights, steps = [], {}, []
 
     def value(name, fn, *inputs):
-        steps.append(Step(name, fn, inputs, itemgetter(*inputs)))
+        steps.append(Step(name, fn, inputs, _gather(inputs)))
         return name
 
-    def node(gemm_id, shape, *inputs):
+    def node(gemm_id, shape, A, B=None):
+        """GEMM node gemm_id on values A and B, B a new weight matrix if None."""
         nodes.append(GemmNode(gemm_id, shape))
-        if len(inputs) == 1:
-            b = 1.0 / math.sqrt(shape.k)
-            weights[gemm_id] = rng.uniform(-b, b, size=(shape.k, shape.n)).astype(np.float32)
-        return value(gemm_id, None, *inputs)
+        if B is None:
+            B = f"{gemm_id}.weight"
+            bound = 1.0 / math.sqrt(shape.k)
+            weights[B] = rng.uniform(-bound, bound, size=(shape.k, shape.n)).astype(np.float32)
+        return value(gemm_id, None, A, B)
 
     x = "input"
     for layer in range(cfg.num_layers):
-        a, f = f"layer{layer}.attn", f"layer{layer}.ff"
+        a = f"layer{layer}.attn"
+        f = f"layer{layer}.ff"
         h = value(f"{a}.norm", layernorm_rows, x)
-        q, k, v = (node(f"{a}.{name}", GemmShape(s, d, d), h) for name in "qkv")
+        q = node(f"{a}.q", GemmShape(s, d, d), h)
+        k = node(f"{a}.k", GemmShape(s, d, d), h)
+        v = node(f"{a}.v", GemmShape(s, d, d), h)
         heads = []
         for hh in range(cfg.num_heads):
-            lo, hi, p = hh * hd, (hh + 1) * hd, f"{a}.head{hh}"
+            p = f"{a}.head{hh}"
+            lo, hi = hh * hd, (hh + 1) * hd
             qh = value(f"{p}.q", partial(_head_q, lo, hi, scale), q)
-            score = node(f"{p}.score", GemmShape(s, hd, s), qh, value(f"{p}.kT", partial(_head, lo, hi, True), k))
+            kT = value(f"{p}.kT", partial(_head, lo, hi, True), k)
+            score = node(f"{p}.score", GemmShape(s, hd, s), qh, kT)
+            probs = value(f"{p}.probs", softmax_rows, score)
             vh = value(f"{p}.v", partial(_head, lo, hi, False), v)
-            heads.append(node(f"{p}.value", GemmShape(s, s, hd), value(f"{p}.probs", softmax_rows, score), vh))
-        attn = node(f"{a}.out", GemmShape(s, d, d), value(f"{a}.concat", partial(np.concatenate, axis=1), *heads))
-        x = value(f"{a}.residual", _add, x, attn)
-        up = node(f"{f}.in", GemmShape(s, d, ff), value(f"{f}.norm", layernorm_rows, x))
-        x = value(f"{f}.residual", _add, x, node(f"{f}.out", GemmShape(s, ff, d), value(f"{f}.gelu", gelu, up)))
+            heads.append(node(f"{p}.value", GemmShape(s, s, hd), probs, vh))
+        concat = value(f"{a}.concat", _concat, *heads)
+        attn = node(f"{a}.out", GemmShape(s, d, d), concat)
+        x = value(f"{a}.residual", np.add, x, attn)
+        h2 = value(f"{f}.norm", layernorm_rows, x)
+        up = node(f"{f}.in", GemmShape(s, d, ff), h2)
+        g = value(f"{f}.gelu", gelu, up)
+        down = node(f"{f}.out", GemmShape(s, ff, d), g)
+        x = value(f"{f}.residual", np.add, x, down)
     pooled = value("pooled", partial(np.ndarray.mean, axis=0, dtype=np.float32, keepdims=True), x)
     node("classifier", GemmShape(1, d, cfg.num_classes), pooled)
     return Model(cfg, nodes, weights, steps)
@@ -124,8 +148,9 @@ def build_model(cfg: ModelConfig) -> Model:
 @dataclass
 class CleanForward:
     """One sample's clean forward, which its faulty forwards reuse by
-    dataflow: every named value (read-only), and the CleanCheck of each GEMM
-    node a protected forward has run on clean operands, stored by the first."""
+    dataflow: every named value (read-only; the input, the weights and each
+    step's), and the CleanCheck of each GEMM node a protected forward has run
+    on clean operands, stored by the first."""
 
     values: dict[str, np.ndarray]
     checks: dict[str, CleanCheck] = field(default_factory=dict)
@@ -158,13 +183,14 @@ def forward(
     `counter`, when given, is charged each node's m*k*n workload multiplies
     here and its ABFT operations in protect_gemm. `observer`, when given, is
     called as observer(node, A, B, C, record) after each node. `values`,
-    when given, receives every named value ("input" and model.steps').
+    when given, receives every named value ("input", model.weights' and
+    model.steps').
     `clean`, with a cfg, is a clean forward of this model, used only if its
-    input is X itself. A value is clean when it is one of its arrays, or a
-    weight. A step whose inputs are all clean takes its stored value: as its
-    result, or for a GEMM node as faulty_gemm's or protect_gemm's `clean`,
-    with its CleanCheck, which they return unless it draws a flip or
-    detection triggers.
+    input is X itself. A value is clean when it is one of its arrays. A
+    step whose inputs are all clean takes its stored value: as its result,
+    or for a GEMM node as faulty_gemm's or protect_gemm's `clean`, with its
+    CleanCheck, which they return unless it draws a flip or detection
+    triggers.
     """
     mc = model.cfg
     X = np.asarray(X, dtype=np.float32)
@@ -173,18 +199,19 @@ def forward(
     reports: dict[str, tuple] = {}
     env = {} if values is None else values
     env["input"] = X
+    env.update(model.weights)
     stored = clean.values if clean is not None and clean.values["input"] is X else None
-    same = {"input"}  # with stored, the names whose value is the stored array itself
+    same = {"input", *model.weights}  # with stored, the names whose value is its own array
 
-    def run(gemm_id: str, C0, operands):
-        """One GEMM node on operands (A, B), or on A and its weight matrix;
-        C0 is its clean output if its operands are clean."""
+    def run(gemm_id: str, C0, A, B):
+        """GEMM node gemm_id on A and B; C0 is its clean output if they are
+        clean."""
         node = model.node_by_id[gemm_id]
-        A, B = operands if type(operands) is tuple else (operands, model.weights[gemm_id])
         if counter is not None:
             counter.workload_mults += node.shape.macs
         if cfg is None:
-            C, rec = gemm(A, B), None
+            C = gemm(A, B)
+            rec = None
         else:
             node_cfg = cfg.restricted(gemm_id)
             stream = RngStream(cfg.seed, gemm_id, trial, sample)
@@ -207,9 +234,12 @@ def forward(
         for name, fn, inputs, gather in model.steps:
             C0 = stored[name] if stored is not None and same.issuperset(inputs) else None
             if fn is None:
-                C = env[name] = run(name, C0, gather(env))
+                C = run(name, C0, *gather(env))
+            elif C0 is None:
+                C = fn(*gather(env))
             else:
-                C = env[name] = fn(gather(env)) if C0 is None else C0
+                C = C0
+            env[name] = C
             if C is C0:
                 same.add(name)
     return env["classifier"].ravel(), reports
@@ -226,9 +256,9 @@ class Dataset:
 
 
 # Bound on the clean forwards a dataset keeps, in bytes, give or take one
-# sample's: 32 MiB, about 300 samples of the default model (98 KB of values
-# besides the input, and 12 KB of the float64 checksums its CleanChecks can
-# store, each). Later samples keep none, and their faulty forwards run in full.
+# sample's: 32 MiB, about 300 samples of the default model (98 KB of step
+# values, and 12 KB of the float64 checksums its CleanChecks can store,
+# each). Later samples keep none, and their faulty forwards run in full.
 _CLEAN_OUTPUT_BYTES = 32 << 20
 
 
@@ -236,18 +266,24 @@ def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
     """Inputs labelled by the clean model's argmax, with the clean forwards
     kept for evaluate, up to _CLEAN_OUTPUT_BYTES."""
     check_int("n_samples", n_samples, 1)
-    mc, rng = model.cfg, np.random.default_rng(data_seed)
-    inputs = [rng.uniform(-1.0, 1.0, size=(mc.seq_len, mc.embed_dim)).astype(np.float32) for _ in range(n_samples)]
+    mc = model.cfg
+    rng = np.random.default_rng(data_seed)
+    inputs = [
+        rng.uniform(-1.0, 1.0, size=(mc.seq_len, mc.embed_dim)).astype(np.float32)
+        for _ in range(n_samples)
+    ]
     checksums = sum(16 * node.shape.k for node in model.nodes)  # k + k float64 per node
     labels, clean_forwards, kept = [], [], 0
     for x in inputs:
-        values = {}
+        values = {} if kept < _CLEAN_OUTPUT_BYTES else None
         labels.append(int(np.argmax(forward(model, x, values=values)[0])))
-        clean_forwards.append(CleanForward(values) if kept < _CLEAN_OUTPUT_BYTES else None)
-        if clean_forwards[-1] is not None:
-            for v in values.values():
-                v.setflags(write=False)  # every faulty forward of x reads it
-            kept += sum(v.nbytes for v in values.values()) - x.nbytes + checksums
+        if values is None:
+            clean_forwards.append(None)
+            continue
+        for v in values.values():
+            v.setflags(write=False)  # every faulty forward of x reads it
+        kept += sum(values[step.name].nbytes for step in model.steps) + checksums
+        clean_forwards.append(CleanForward(values))
     return Dataset(inputs, labels, clean_forwards, model)
 
 

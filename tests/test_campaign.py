@@ -180,7 +180,7 @@ def test_pool_workers_generate_read_only_clean_outputs(pool_sizes, monkeypatch):
     ctx = campaign._WORKER_CTX
     assert ctx.dataset.clean_model is ctx.model
     arrays = _clean_arrays(ctx.dataset)
-    assert len(arrays) == 6 * (1 + len(ctx.model.steps))  # the input and every step's value
+    assert len(arrays) == 6 * (1 + len(ctx.model.weights) + len(ctx.model.steps))  # every named value
     assert not any(C.flags.writeable for C in arrays)
     want = _clean_arrays(campaign._build_context(config).dataset)
     assert [C.tobytes() for C in arrays] == [C.tobytes() for C in want]

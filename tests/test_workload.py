@@ -291,12 +291,13 @@ def test_reused_clean_outputs_match_the_full_forward(default_model, small_datase
 
 
 def test_clean_outputs_stop_at_their_memory_bound(monkeypatch, default_model, small_dataset):
-    # a sample's bytes count every value of its clean forward but the input
-    # (which the dataset keeps anyway) and the float64 checksums (k + k per
-    # node) its checks can store; samples past the bound keep no clean
-    # forward, and their faulty forwards run the full path
+    # a sample's bytes count every step's value of its clean forward (not
+    # the input or the weights, which the dataset and the model keep anyway)
+    # and the float64 checksums (k + k per node) its checks can store;
+    # samples past the bound keep no clean forward, and their faulty
+    # forwards run the full path
     values = small_dataset.clean_forwards[0].values
-    per_sample = sum(v.nbytes for name, v in values.items() if name != "input")
+    per_sample = sum(values[step.name].nbytes for step in default_model.steps)
     per_sample += sum(16 * node.shape.k for node in default_model.nodes)
     assert per_sample == 98472 + 11776
     monkeypatch.setattr(workload, "_CLEAN_OUTPUT_BYTES", per_sample + 1)
@@ -308,6 +309,19 @@ def test_clean_outputs_stop_at_their_memory_bound(monkeypatch, default_model, sm
     cfg = FaultConfig(1e-8, 43, memo={})
     (reused, full), hits = _run_full_and_reused(default_model, data, cfg, strategy_from_name("baseline"), None)
     assert reused == full and sum(map(sum, hits)) == 19 + 12 and len(hits) == 2
+
+
+def test_a_one_head_model_reuses_what_it_computes_in_full():
+    # with one head the concatenation has a single input; labelling and
+    # every strategy's faulty forwards run, and reuse gives the full path's bits
+    model = build_model(ModelConfig(num_heads=1))
+    data = generate_dataset(model, 3, data_seed=23)
+    for ber in (0.0, 1e-7, 1e-5):
+        for name in MEMO_STRATEGIES:
+            cfg = FaultConfig(ber, 43, memo={})
+            (reused, full), hits = _run_full_and_reused(model, data, cfg, strategy_from_name(name), None)
+            assert reused == full
+            assert (sum(map(sum, hits)) == 3 * len(model.nodes)) == (ber == 0.0)
 
 
 def test_clean_outputs_are_reused_on_their_model_only(default_model, small_dataset):
@@ -344,7 +358,7 @@ def _values(model, x, cfg, strategy, clean=None):
 
 def test_a_ber_zero_forward_returns_every_stored_value(default_model, small_dataset):
     clean = small_dataset.clean_forwards[0]
-    assert len(clean.values) == 1 + len(default_model.steps)
+    assert len(clean.values) == 1 + len(default_model.weights) + len(default_model.steps)
     for name in ("none", "baseline"):
         values = _values(default_model, small_dataset.inputs[0], FaultConfig(0.0, 3), strategy_from_name(name),
                          clean)
@@ -362,7 +376,7 @@ def test_a_flip_in_q_leaves_k_and_v_reused(default_model):
     values = _values(default_model, x, cfg, strategy_from_name("baseline"), clean)
     a = "layer0.attn"
     reused = {f"{a}.norm", f"{a}.k", f"{a}.v", f"{a}.head0.kT", f"{a}.head0.v", f"{a}.head1.kT", f"{a}.head1.v"}
-    assert {key for key, v in values.items() if v is stored[key]} == {"input", *reused}
+    assert {key for key, v in values.items() if v is stored[key]} == {"input", *default_model.weights, *reused}
     assert set(clean.checks) == {f"{a}.q", f"{a}.k", f"{a}.v"}
     full = _values(default_model, x, cfg, strategy_from_name("baseline"))
     assert all(values[key].tobytes() == v.tobytes() for key, v in full.items())
@@ -379,7 +393,7 @@ def test_a_flip_in_one_head_leaves_the_other_reused(default_model, small_dataset
         values = _values(default_model, x, cfg, strategy_from_name(name), small_dataset.clean_forwards[1])
         a = "layer0.attn"
         assert {key for key, v in values.items() if v is stored[key]} == {
-            "input", f"{a}.norm", f"{a}.q", f"{a}.k", f"{a}.v", f"{a}.head0.q", f"{a}.head0.kT", f"{a}.head0.v",
+            "input", *default_model.weights, f"{a}.norm", f"{a}.q", f"{a}.k", f"{a}.v", f"{a}.head0.q", f"{a}.head0.kT", f"{a}.head0.v",
             f"{a}.head1.q", f"{a}.head1.kT", f"{a}.head1.score", f"{a}.head1.probs", f"{a}.head1.v",
             f"{a}.head1.value"}
         full = _values(default_model, x, cfg, strategy_from_name(name))
