@@ -6,7 +6,7 @@ are keyed by (seed, trial, sample, gemm_id) so trials can run in parallel
 without changing any result. A stream draws one binomial flip count per
 k-step class, then each flipped class's bit positions: the values that
 choice(nbits, count, replace=False) draws, drawn for all classes of a GEMM
-in one Generator.integers call.
+in one Generator.integers call. A forward's streams are planned in one batch.
 """
 
 from __future__ import annotations
@@ -18,14 +18,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_core import ShapeError, as_matrix, check_real, kchain
+from .tensor_core import ShapeError, as_matrix, check_real, kchain, sum_rows
 
 _MASK64 = (1 << 64) - 1
 
 
+def _words(value: int) -> tuple:
+    """The uint32 words into which SeedSequence turns a key part < 2**64."""
+    return (value & 0xFFFFFFFF, value >> 32) if value >> 32 else (value,)
+
+
 @functools.lru_cache(maxsize=1024)
-def _id_hash(gemm_id: str) -> int:
-    return int.from_bytes(hashlib.sha256(str(gemm_id).encode()).digest()[:8], "little")
+def _id_hash(gemm_id: str) -> tuple:
+    """The _words of the first 8 bytes of sha256(gemm_id), read little-endian."""
+    return _words(int.from_bytes(hashlib.sha256(str(gemm_id).encode()).digest()[:8], "little"))
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,9 @@ class RngStream:
 
     @functools.cached_property
     def gen(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(self.key)))
+        # the words SeedSequence makes of the key's parts, without its int coercion
+        words = [*_words(self.key[0]), *_words(self.key[1]), *_words(self.key[2]), *self.key[3]]
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 @dataclass
@@ -83,51 +91,62 @@ def _class_order(k: int) -> np.ndarray:
     return order
 
 
-def _draw_flips(gen: np.random.Generator, ber: float, nbits: int, k: int):
-    """(class, bit position) of every flip of one faulty GEMM, or None.
+def _draw_flips(jobs):
+    """(stream, class, position) arrays of every flip of a batch of faulty
+    GEMMs, one (generator, ber, nbits, k) of jobs each, or None for no flip.
 
     Classes 0..k-1 are the multiply steps and k..2k-2 the accumulate steps
-    1..k-1. The stream gives one binomial count per class, then the distinct
+    1..k-1. A stream gives one binomial count per class, then the distinct
     positions of each nonzero class in step order: multiply 0, multiply 1,
     accumulate 1, multiply 2, accumulate 2, ... A class's positions are the
     values that choice(nbits, count, replace=False) draws, as a set, and one
-    integers call draws them for all classes with the bounds of choice's
-    draws (numpy 2.4.6; test_one_call_draws_what_choice_draws is the gate).
-    choice runs Floyd's algorithm if nbits <= 10000 or count <= nbits // 50:
-    count picks bounded by j = nbits-count..nbits-1, where a pick that
-    repeats one of its class takes j, then a shuffle of the picks with swaps
-    bounded by i = count-1..1. Otherwise it takes the last count slots of a
-    Fisher-Yates shuffle of arange(nbits), with swaps bounded by i =
-    nbits-1..nbits-count. A bound of 0 draws nothing.
+    integers call per stream draws them for all its classes with the bounds
+    of choice's draws (numpy 2.4.6; test_one_call_draws_what_choice_draws is
+    the gate). choice runs Floyd's algorithm if nbits <= 10000 or count <=
+    nbits // 50: count picks bounded by j = nbits-count..nbits-1, where a
+    pick that repeats one of its class takes j, then a shuffle of the picks
+    with swaps bounded by i = count-1..1. Otherwise it takes the last count
+    slots of a Fisher-Yates shuffle of arange(nbits), with swaps bounded by
+    i = nbits-1..nbits-count. A bound of 0 draws nothing.
     """
-    counts = gen.binomial(nbits, ber, size=2 * k - 1)
-    if not np.count_nonzero(counts):  # the common case at low BER
+    hit, counts = [], []
+    for j, (gen, ber, nbits, k) in enumerate(jobs):
+        drawn = gen.binomial(nbits, ber, size=2 * k - 1)
+        if np.count_nonzero(drawn):  # rare at low BER
+            hit.append(j)
+            counts.append(drawn[_class_order(k)])  # in step order
+    if not hit:
         return None
-    order = _class_order(k)
-    classes = order[counts[order] > 0]
-    s = counts[classes]  # flips per flipped class
+    stream = np.repeat(hit, [c.size for c in counts])
+    counts = np.concatenate(counts)
+    at = counts.nonzero()[0]
+    s, stream = counts[at], stream[at]  # each flipped class's flips and stream
+    classes = np.concatenate([_class_order(jobs[j][3]) for j in hit])[at]
+    nbits = np.array([job[2] for job in jobs])[stream]
     tail = (s > nbits // 50) & (nbits > 10000)
     size = np.where(tail, s, 2 * s - 1)  # draws per class
-    cls = np.repeat(np.arange(s.size), size)
-    t = np.arange(cls.size) - (np.cumsum(size) - size)[cls]  # draw t of its class
-    sc = s[cls]
+    cls = np.arange(s.size).repeat(size)
+    stop = size.cumsum()
+    t = np.arange(cls.size) - (stop - size)[cls]  # draw t of its class
+    sc, nc = s[cls], nbits[cls]
     picks = t < sc
     # exclusive bounds: Floyd's picks, then its shuffle's swaps (whose values
     # are dropped: a class's positions are read as a set); or the tail's swaps
-    highs = np.where(picks, np.where(tail[cls], nbits - t, nbits + 1 - sc + t), 2 * sc - t)
-    positions = gen.integers(0, highs)[picks]
+    highs = np.where(picks, np.where(tail[cls], nc - t, nc + 1 - sc + t), 2 * sc - t)
+    stop = stop[stream.searchsorted(hit, side="right") - 1].tolist()  # each stream's draws end there
+    positions = np.concatenate([jobs[j][0].integers(0, highs[a:b]) for j, a, b in zip(hit, [0, *stop], stop)])
     # Floyd's picks are the draws unless two draws of a class are equal (its
     # first repeat can only be of a draw); such a class, and a tail one,
     # runs choice's own loop
-    cls = cls[picks]
+    positions, cls = positions[picks], cls[picks]
     redo = tail.copy()
     if s.max() > 1:
-        key = np.sort(cls * nbits + positions)
-        redo[key[1:][key[1:] == key[:-1]] // nbits] = True
-    for c in np.flatnonzero(redo):
+        key = np.sort(cls * (width := int(nbits.max())) + positions)
+        redo[key[1:][key[1:] == key[:-1]] // width] = True
+    for c in redo.nonzero()[0]:
         at = cls == c
-        positions[at] = _picks(positions[at].tolist(), nbits, bool(tail[c]))
-    return classes[cls], positions
+        positions[at] = _picks(positions[at].tolist(), int(nbits[c]), bool(tail[c]))
+    return stream[cls], classes[cls], positions
 
 
 def _picks(draws: list, nbits: int, tail: bool) -> list:
@@ -146,7 +165,7 @@ def _picks(draws: list, nbits: int, tail: bool) -> list:
 
 
 class ReplayPlan(NamedTuple):
-    """The index work of replaying one draw of flips, done once (see _plan).
+    """The index work of replaying one draw of flips, done once (_plan_batch).
 
     It reads no value, so one plan serves every GEMM of its shape that
     replays the same draw; its arrays are read-only. P is the C-ordered
@@ -169,9 +188,10 @@ class ReplayPlan(NamedTuple):
         """Final sums of the flipped k-chains, given their clean products P
         (modified in place).
 
-        Multiply flips are xor-ed into P, and np.add.accumulate sums the
-        columns from +0.0. It adds in order, and where both operands are NaN
-        it keeps the running sum's. Accumulate flips cut a chain into
+        Multiply flips are xor-ed into P, and its columns are summed in order
+        from +0.0 by sum_rows, or where chains are cut or a sum is NaN by
+        np.add.accumulate, which alone keeps the running sum's NaN in every
+        lane where both operands are NaN. Accumulate flips cut a chain into
         segments; round r sums, for each chain, the segment after its r-th
         flipped step, starting from the xor-ed sum at that step.
 
@@ -184,7 +204,11 @@ class ReplayPlan(NamedTuple):
         np.bitwise_xor.at(P.view(np.uint32).reshape(-1), self.mul_at, self.mul_bits)
         P[0] += np.float32(0.0)  # each chain starts at +0.0
         if not self.rounds:
-            return np.add.accumulate(P, axis=0, out=P)[-1]
+            out = sum_rows(P)
+            nan = np.isnan(out)  # np.add.reduce keeps the product's NaN in some lanes
+            if nan.any():
+                out[nan] = np.add.accumulate(P[:, nan], axis=0)[-1]
+            return out
         cum = np.add.accumulate(P, axis=0)
         out = cum[-1].copy()
         cols, base = self.rounds[0][:2]  # each chain's first flipped step
@@ -205,58 +229,81 @@ def _read_only(*arrays):
     return arrays
 
 
-def _plan(gen: np.random.Generator, ber: float, m: int, n: int, k: int) -> ReplayPlan | None:
-    """The ReplayPlan of gen's flips (_draw_flips) in an (m, k) x (k, n) GEMM,
-    or None if it draws none."""
-    drawn = _draw_flips(gen, ber, 32 * m * n, k)
+def _plan_batch(jobs) -> list:
+    """The ReplayPlan of each (generator, ber, m, n, k) of jobs, its (m, k) x
+    (k, n) GEMM's draw (_draw_flips), or None for no flip. The index work
+    runs once for the batch; the plans' arrays are read-only views of the
+    batch's, which hold only the flipped GEMMs' cells and flips."""
+    plans = [None] * len(jobs)
+    drawn = _draw_flips([(gen, ber, 32 * m * n, k) for gen, ber, m, n, k in jobs])
     if drawn is None:
-        return None
-    classes, positions = drawn
-    cell = positions >> 5
-    cells = np.zeros(m * n, dtype=bool)
+        return plans
+    gemm, classes, positions = drawn
+    flips = np.bincount(gemm, minlength=len(jobs))
+    m, n, k = np.array([job[2:] for job in jobs]).T
+    size = m * n * (flips > 0)  # the batch's cells: each flipped GEMM's in turn
+    end = size.cumsum()
+    cell = (end - size)[gemm] + (positions >> 5)
+    cells = np.zeros(end[-1], dtype=bool)
     cells[cell] = True
-    faulty = np.flatnonzero(cells)
-    nf = faulty.size
-    slot = np.zeros(m * n, dtype=np.intp)
-    slot[faulty] = np.arange(nf)
-    col = slot[cell]
-    is_acc = classes >= k
-    step = np.where(is_acc, classes - (k - 1), classes)
+    faulty = cells.nonzero()[0]
+    owner = end.searchsorted(faulty, side="right")  # each faulty cell's GEMM
+    nf = np.bincount(owner, minlength=len(jobs))
+    col = (cells.cumsum(dtype=np.int32) - 1)[cell] - (nf.cumsum() - nf)[gemm]  # in its GEMM's P
+    faulty -= (end - size)[owner]
+    rows, cols = np.divmod(faulty, n[owner])
+    acc = classes >= k[gemm]
+    step = classes - acc * (k[gemm] - 1)
     bits = np.left_shift(np.uint32(1), (positions & 31).astype(np.uint32))
-    mul = ~is_acc
-    rounds = _rounds(col[is_acc], step[is_acc], bits[is_acc], nf, k) if is_acc.any() else ()
-    cells, faulty, rows, cols, mul_at, mul_bits = _read_only(
-        cells.reshape(m, n), faulty, *np.divmod(faulty, n), step[mul] * nf + col[mul], bits[mul])
-    return ReplayPlan(cells, len(positions), k, faulty, rows, cols, mul_at, mul_bits, rounds)
+    del drawn, cell, owner, classes, positions  # dropped before _rounds, where planning peaks in memory
+    mul = ~acc
+    mul_at, mul_bits = step[mul] * nf[gemm[mul]] + col[mul], bits[mul]
+    rounds = _rounds(gemm[acc], col[acc], step[acc], bits[acc], nf, k)
+    _read_only(cells, faulty, rows, cols, mul_at, mul_bits)
+    ends = zip(end.tolist(), nf.cumsum().tolist(), np.bincount(gemm[mul], minlength=len(jobs)).cumsum().tolist())
+    c0 = f0 = a0 = 0
+    for j, (c1, f1, a1) in enumerate(ends):
+        if c1 > c0:
+            plans[j] = ReplayPlan(cells[c0:c1].reshape(jobs[j][2:4]), int(flips[j]), jobs[j][4], faulty[f0:f1],
+                                  rows[f0:f1], cols[f0:f1], mul_at[a0:a1], mul_bits[a0:a1], rounds.get(j, ()))
+        c0, f0, a0 = c1, f1, a1
+    return plans
 
 
-def _rounds(col, step, bits, nf: int, k: int) -> tuple:
-    """ReplayPlan.rounds for the accumulate flips (column, step, bit) of a
-    draw whose flipped cells are nf columns of P."""
-    # one event per (cell, step), in chain order
-    key = col * k + step
-    order = np.argsort(key)
+def _rounds(gemm, col, step, bits, nf, k) -> dict:
+    """ReplayPlan.rounds, by GEMM, of a batch's accumulate flips: (GEMM,
+    column of the GEMM's (k[gemm], nf[gemm]) P, step, bit) each."""
+    if not gemm.size:
+        return {}
+    f0 = nf.cumsum() - nf
+    # one event per (cell, step), in chain order; the cells are the batch's
+    key = (f0[gemm] + col) * (width := int(k.max())) + step
+    order = key.argsort()
     key = key[order]
-    new_key = np.ones(key.size, dtype=bool)
-    new_key[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(new_key)
+    starts = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
     xor = np.bitwise_xor.reduceat(bits[order], starts)
-    cols, steps = np.divmod(key[starts], k)  # ordered by cell, then step
-    first = np.ones(cols.size, dtype=bool)
-    first[1:] = cols[1:] != cols[:-1]
-    # a segment ends at its cell's next flipped step, or at the last step
-    ends = np.full(cols.size, k - 1)
-    ends[:-1][~first[1:]] = steps[1:][~first[1:]]
-    index = np.arange(cols.size)
-    rank = index - np.maximum.accumulate(np.where(first, index, 0))
-    rounds = []
-    for r in range(rank.max() + 1):  # round r: the r-th event of each chain
-        at = rank == r
-        c, s, length = cols[at], steps[at], ends[at] - steps[at]
-        offsets = np.arange(0, (length.max() + 1) * nf, nf)[:, None]
-        last = length * c.size + np.arange(c.size)
-        rounds.append(_read_only(c, s * nf + c, offsets, xor[at], last))
-    return tuple(rounds)
+    cells, steps = np.divmod(key[starts], width)  # ordered by cell, then step
+    g = gemm[order[starts]]
+    later = cells[1:] == cells[:-1]  # an event after its chain's first
+    ends = (k - 1)[g]  # a segment ends at its cell's next flipped step, or at the last step
+    ends[:-1][later] = steps[1:][later]
+    # round r of a GEMM: the r-th event of each of its chains, in cell order
+    index = np.arange(cells.size)
+    seg = g * cells.size + index - cells.searchsorted(cells)  # by GEMM, then the event's rank in its chain
+    order = seg.argsort(kind="stable")
+    seg, g, steps, length, xor = seg[order], g[order], steps[order], (ends - steps)[order], xor[order]
+    cols = cells[order] - f0[g]
+    bounds = np.concatenate(([0], (seg[1:] != seg[:-1]).nonzero()[0] + 1, [seg.size]))
+    lo, size = bounds[:-1], bounds[1:] - bounds[:-1]
+    last = length * size.repeat(size) + index - lo.repeat(size)
+    base = steps * nf[g] + cols
+    _read_only(cols, base, xor, last)
+    rounds, nf = {}, nf.tolist()
+    for gi, a, b, longest in zip(g[lo].tolist(), lo.tolist(), bounds[1:].tolist(),
+                                 np.maximum.reduceat(length, lo).tolist()):
+        offsets, = _read_only(np.arange(0, (longest + 1) * nf[gi], nf[gi])[:, None])
+        rounds.setdefault(gi, []).append((cols[a:b], base[a:b], offsets, xor[a:b], last[a:b]))
+    return {gi: tuple(r) for gi, r in rounds.items()}
 
 
 def faulty_gemm(
@@ -279,9 +326,10 @@ def faulty_gemm(
 
     The stream draws what a step-by-step injector draws, in the same order
     (see _draw_flips), but all up front, since no draw depends on a value.
-    The draw becomes a ReplayPlan; kchain computes the clean product, and
-    only the cells that took a flip are replayed, from their products. A
-    record's error_cells is the plan's read-only mask.
+    The draw becomes a ReplayPlan (workload.forward plans them all first);
+    kchain computes the clean product, and only the cells that took a flip
+    are replayed, from their products. A record's error_cells is the plan's
+    read-only mask.
 
     `clean`, when given, must be gemm(A, B) and stands in for kchain: it is
     returned itself if the stream draws no flip, and otherwise copied
@@ -314,12 +362,19 @@ def faulty_gemm(
     return C
 
 
+def plan_streams(cfg: FaultConfig, jobs) -> None:
+    """Draw and plan into cfg.memo, in one batch (_plan_batch), each (stream,
+    m, n, k) of jobs, an (m, k) x (k, n) GEMM's stream, that it lacks."""
+    todo = [(stream, m, n, k) for stream, m, n, k in jobs if (*stream.key, m, n, k) not in cfg.memo]
+    plans = _plan_batch([(stream.gen, cfg.ber, m, n, k) for stream, m, n, k in todo])
+    cfg.memo.update(((*stream.key, m, n, k), plan) for (stream, m, n, k), plan in zip(todo, plans))
+
+
 def _replay_plan(cfg: FaultConfig, stream: RngStream, m: int, n: int, k: int):
     """The ReplayPlan of the stream's draw for an (m, k) x (k, n) GEMM, or
-    None for no flip; drawn and planned once per key when cfg has a memo."""
-    if cfg.memo is None:
-        return _plan(stream.gen, cfg.ber, m, n, k)
+    None for no flip; planned once per key when cfg has a memo."""
+    memo = {} if cfg.memo is None else cfg.memo
     key = (*stream.key, m, n, k)
-    if key not in cfg.memo:
-        cfg.memo[key] = _plan(stream.gen, cfg.ber, m, n, k)
-    return cfg.memo[key]
+    if key not in memo:
+        memo[key], = _plan_batch([(stream.gen, cfg.ber, m, n, k)])
+    return memo[key]

@@ -8,8 +8,8 @@ output cell is a k-chain: acc = +0.0, then acc = acc + A[i, kk] * B[kk, j]
 for kk ascending, every product and sum rounded to float32, so results are
 reproducible and equal a naive triple-loop oracle bit for bit. kchain writes
 the products of a k-chunk into a bounded buffer and has numpy add its rows
-in order; the summed axis is never the contiguous one, along which numpy
-would sum pairwise.
+in order (sum_rows); the summed axis is never the contiguous one, along
+which numpy would sum pairwise.
 """
 
 from __future__ import annotations
@@ -86,16 +86,27 @@ def as_matrix(x) -> np.ndarray:
 _CHUNK_ELEMS = 1 << 14
 
 
+def sum_rows(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows of a C-ordered 2-D array summed in order (into out, if given).
+    numpy reduces the outer axis of such an array one row after another, but
+    a single column is the contiguous axis, which it sums pairwise, so that
+    one is summed by the sequential np.add.accumulate."""
+    if P.shape[1] != 1:
+        return np.add.reduce(P, axis=0, out=out)
+    out = np.empty(1, dtype=P.dtype) if out is None else out
+    out[0] = np.add.accumulate(P[:, 0])[-1]
+    return out
+
+
 def kchain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B for float32 matrices of matching shapes. Each output cell is
     summed from +0.0 in k-ascending order, bit for bit as a scalar loop.
 
     The products of a k-chunk fill rows 1.. of a C-ordered (chunk + 1, m*n)
-    buffer whose row 0 carries the running sum. numpy reduces the outer
-    axis of such a buffer one row after another, so the sum stays
-    sequential. With a single cell that axis is the contiguous one, which
-    numpy sums pairwise, so a single cell uses the sequential
-    np.add.accumulate.
+    buffer whose row 0 carries the running sum, and sum_rows adds its rows
+    in order. einsum computes each product once, as np.multiply does; only
+    the sign of a zero product (which no sum from +0.0 keeps) and the NaN
+    kept of two NaN factors may differ.
     """
     m, k = A.shape
     n = B.shape[1]
@@ -105,15 +116,11 @@ def kchain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return acc.reshape(m, n)
     chunk = max(1, min(k, _CHUNK_ELEMS // cells))
     buf = np.empty((chunk + 1, cells), dtype=np.float32)
-    AT = A.T
     for k0 in range(0, k, chunk):
         c = min(chunk, k - k0)
         buf[0] = acc
-        np.multiply(AT[k0:k0 + c, :, None], B[k0:k0 + c, None, :], out=buf[1:c + 1].reshape(c, m, n))
-        if cells == 1:
-            acc[0] = np.add.accumulate(buf[:c + 1, 0])[-1]
-        else:
-            np.add.reduce(buf[:c + 1], axis=0, out=acc)
+        np.einsum("ik,kj->kij", A[:, k0:k0 + c], B[k0:k0 + c], out=buf[1:c + 1].reshape(c, m, n))
+        sum_rows(buf[:c + 1], out=acc)
     return acc.reshape(m, n)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .abft import STRICT, AbftStrategy, CleanCheck, ThresholdSet, clean_check, protect_gemm
-from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
+from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm, plan_streams
 from .tensor_core import ConfigError, GemmShape, OpCounter, check_int, gelu, gemm, layernorm_rows, softmax_rows
 
 
@@ -191,6 +191,8 @@ def forward(
     or for a GEMM node as faulty_gemm's or protect_gemm's `clean`, with its
     CleanCheck, which they return unless it draws a flip or detection
     triggers.
+    With a cfg, every faulty node's stream is planned in one batch first,
+    into cfg.memo or else a memo of this forward's (faults.plan_streams).
     """
     mc = model.cfg
     X = np.asarray(X, dtype=np.float32)
@@ -202,6 +204,11 @@ def forward(
     env.update(model.weights)
     stored = clean.values if clean is not None and clean.values["input"] is X else None
     same = {"input", *model.weights}  # with stored, the names whose value is its own array
+    if cfg is not None:
+        cfg = replace(cfg, memo={}) if cfg.memo is None else cfg
+        streams = {n.gemm_id: RngStream(cfg.seed, n.gemm_id, trial, sample) for n in model.nodes}
+        plan_streams(cfg, [(streams[n.gemm_id], n.shape.m, n.shape.n, n.shape.k) for n in model.nodes
+                           if cfg.ber > 0.0 and (cfg.scope is None or n.gemm_id in cfg.scope)])
 
     def run(gemm_id: str, C0, A, B):
         """GEMM node gemm_id on A and B; C0 is its clean output if they are
@@ -214,14 +221,13 @@ def forward(
             rec = None
         else:
             node_cfg = cfg.restricted(gemm_id)
-            stream = RngStream(cfg.seed, gemm_id, trial, sample)
             rec = FaultRecord() if observer is not None else None
             if strategy is None:
-                C = faulty_gemm(A, B, node_cfg, stream, record=rec, clean=C0)
+                C = faulty_gemm(A, B, node_cfg, streams[gemm_id], record=rec, clean=C0)
             else:
                 ts = STRICT if thresholds is None else thresholds[gemm_id]
                 check = None if C0 is None else clean.check(gemm_id, A, B)
-                C, det, corr = protect_gemm(A, B, node_cfg, strategy, ts, stream, counter, record=rec,
+                C, det, corr = protect_gemm(A, B, node_cfg, strategy, ts, streams[gemm_id], counter, record=rec,
                                             clean=C0, check=check)
                 reports[gemm_id] = (det, corr)
         if observer is not None:

@@ -56,6 +56,22 @@ def layernorm_rows_oracle(X):
     return (d / np.sqrt(var + np.float32(1e-6)) + np.float32(0.0)).astype(np.float32)
 
 
+def plan_arrays(plan):
+    """Every array a faults.ReplayPlan holds, those of its rounds included."""
+    for value in plan:
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            yield from plan_arrays(value)
+
+
+class NoGen:
+    """Stand-in generator for a stream whose draws must come from a memo."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the generator was asked for {name}")
+
+
 def dense_faulty_gemm(A, B, cfg, stream):
     """Step-by-step faulty GEMM: returns (C, error_cells, flips).
 

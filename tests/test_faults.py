@@ -3,13 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import dense_faulty_gemm, inject_single
+from conftest import NoGen, dense_faulty_gemm, inject_single, plan_arrays
+from ftgemm import faults
 from ftgemm.faults import (
     FaultConfig,
     FaultRecord,
+    ReplayPlan,
     RngStream,
     _draw_flips,
-    _plan,
+    _plan_batch,
     faulty_gemm,
 )
 from ftgemm.tensor_core import gemm
@@ -169,18 +171,55 @@ def _choice_draws(gen, ber, nbits, k):
 @pytest.mark.parametrize("k", [32, 128])
 def test_one_call_draws_what_choice_draws(nbits, k):
     # both of choice's regimes: Floyd's (with the repeat fix-up where nbits is
-    # small and counts are large) and, from BER 2e-2 at nbits > 10000, the tail
+    # small and counts are large) and, from BER 2e-2 at nbits > 10000, the
+    # tail; every stream of the test is drawn in one call
     bers = [1e-4, 1e-3, 5e-3, 2e-2, 5e-2] + ([1.0] if nbits == 320 else [])
-    for ber in bers:
-        for key in range(3 if ber < 1e-2 else 1):
-            gen, twin = RngStream(key, "g", nbits, k).gen, RngStream(key, "g", nbits, k).gen
-            drawn = _draw_flips(gen, ber, nbits, k)
-            want = _choice_draws(twin, ber, nbits, k)
-            classes, positions = drawn if drawn is not None else (np.zeros(0, int), np.zeros(0, int))
-            got = [(int(c), set(positions[classes == c].tolist())) for c in dict.fromkeys(classes.tolist())]
-            assert got == want, (ber, key)
-            assert sum(len(p) for _, p in want) == positions.size
-            assert repr(gen.bit_generator.state) == repr(twin.bit_generator.state)
+    cases = [(ber, key) for ber in bers for key in range(3 if ber < 1e-2 else 1)]
+    gens = [RngStream(key, "g", nbits, k).gen for _, key in cases]
+    twins = [RngStream(key, "g", nbits, k).gen for _, key in cases]
+    drawn = _draw_flips([(gen, ber, nbits, k) for gen, (ber, _) in zip(gens, cases)])
+    stream, classes, positions = drawn if drawn is not None else (np.zeros(0, int),) * 3
+    for i, ((ber, key), gen, twin) in enumerate(zip(cases, gens, twins)):
+        want = _choice_draws(twin, ber, nbits, k)
+        mine, where = classes[stream == i], positions[stream == i]
+        got = [(int(c), set(where[mine == c].tolist())) for c in dict.fromkeys(mine.tolist())]
+        assert got == want, (ber, key)
+        assert sum(len(p) for _, p in want) == where.size
+        assert repr(gen.bit_generator.state) == repr(twin.bit_generator.state)
+
+
+def _assert_same_plan(got, want):
+    """Two ReplayPlans (or None) with equal fields: every array of the same
+    dtype, shape and values, and the same rounds."""
+    if want is None:
+        assert got is None
+        return
+    assert (got.flips, got.k, len(got.rounds)) == (want.flips, want.k, len(want.rounds))
+    assert [len(r) for r in got.rounds] == [len(r) for r in want.rounds]
+    arrays = list(zip(plan_arrays(got), plan_arrays(want), strict=True))
+    assert len(arrays) == 6 + 5 * len(want.rounds)
+    for g, w in arrays:
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        np.testing.assert_array_equal(g, w)
+
+
+def test_one_batch_plans_what_one_batch_per_stream_plans(monkeypatch):
+    # the model's five GEMM shapes, odd and single-column ones, from BER 1e-9
+    # (no flip) to 3e-2 (choice's tail regime at nbits > 10000), and a class
+    # whose Floyd picks repeat
+    shapes = [(16, 32, 32), (16, 16, 16), (16, 32, 128), (16, 128, 32), (1, 32, 10), (3, 5, 7), (4, 40, 1), (1, 40, 1)]
+    jobs = [(m, n, k, ber) for ber in (1e-9, 1e-6, 1e-4, 3e-3, 3e-2) for m, k, n in shapes]
+    regimes = []
+    picks = faults._picks
+    monkeypatch.setattr(faults, "_picks", lambda draws, nbits, tail: regimes.append(tail) or picks(draws, nbits, tail))
+    batch = _plan_batch([(RngStream(3, "g", i).gen, ber, m, n, k) for i, (m, n, k, ber) in enumerate(jobs)])
+    assert set(regimes) == {False, True}  # a repeat class and a tail class
+    assert None in batch and batch.count(None) < len(batch)
+    for i, ((m, n, k, ber), plan) in enumerate(zip(jobs, batch)):
+        (alone,) = _plan_batch([(RngStream(3, "g", i).gen, ber, m, n, k)])
+        _assert_same_plan(plan, alone)
+        if plan is not None:
+            assert plan.cells.shape == (m, n) and plan.flips > 0
 
 
 def test_inject_single():
@@ -206,13 +245,6 @@ def test_fault_config_validation_and_scope():
     assert unscoped.restricted("anything") is unscoped
 
 
-class _NoGen:
-    """Stand-in generator for a stream whose draws must come from a memo."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"the generator was asked for {name}")
-
-
 def _faulty(A, B, cfg, stream, clean=None):
     rec = FaultRecord()
     C = faulty_gemm(A, B, cfg, stream, record=rec, clean=clean)
@@ -230,7 +262,7 @@ def test_memo_hit_never_calls_the_generator():
     first = _faulty(A, B, cfg, RngStream(4, "g", 1, 2))
     assert first[2] > 0 and len(cfg.memo) == 1
     stream = RngStream(4, "g", 1, 2)
-    stream.gen = _NoGen()
+    stream.gen = NoGen()
     again = _faulty(A, B, cfg, stream)
     for got, want in zip(again, first):
         np.testing.assert_array_equal(got, want)
@@ -253,15 +285,6 @@ def test_memo_keys_on_the_whole_stream_key_and_the_shape():
     assert len(cfg.memo) == len(cases)
 
 
-def _plan_arrays(plan):
-    """Every array a ReplayPlan holds, those of its rounds included."""
-    for value in plan:
-        if isinstance(value, np.ndarray):
-            yield value
-        elif isinstance(value, tuple):
-            yield from _plan_arrays(value)
-
-
 def test_memoized_draws_are_read_only():
     A, B = _operands(10, 8, 9, 7)
     cfg = FaultConfig(3e-3, 4, memo={})
@@ -271,7 +294,7 @@ def test_memoized_draws_are_read_only():
     assert len(plans) == 1 and None in cfg.memo.values()
     plan = plans[0]
     assert plan.mul_at.size and plan.rounds  # multiply and accumulate flips
-    arrays = list(_plan_arrays(plan))
+    arrays = list(plan_arrays(plan))
     assert len(arrays) == 6 + 5 * len(plan.rounds)
     for array in arrays:
         assert not array.flags.writeable
@@ -310,9 +333,9 @@ def test_one_plan_replays_any_operands(shape):
             assert got[2] == flips > 0
         (memoized,) = cfg.memo.values()
         if plan is None:
-            plan, before = memoized, [array.tobytes() for array in _plan_arrays(memoized)]
+            plan, before = memoized, [array.tobytes() for array in plan_arrays(memoized)]
         assert memoized is plan
-    assert [array.tobytes() for array in _plan_arrays(plan)] == before
+    assert [array.tobytes() for array in plan_arrays(plan)] == before
 
 
 def test_sums_rejects_products_it_cannot_update_in_place():
@@ -321,7 +344,7 @@ def test_sums_rejects_products_it_cannot_update_in_place():
     # multiply flips lost
     m, k, n = 8, 9, 7
     A, B = _operands(12, m, k, n)
-    plan = _plan(RngStream(4, "g").gen, 3e-3, m, n, k)
+    (plan,) = _plan_batch([(RngStream(4, "g").gen, 3e-3, m, n, k)])
     assert plan.mul_at.size and plan.faulty.size > 1
     np.testing.assert_array_equal(plan.rows * n + plan.cols, plan.faulty)
     P = A.T[:, plan.rows] * B[:, plan.cols]
@@ -333,6 +356,22 @@ def test_sums_rejects_products_it_cannot_update_in_place():
     C.reshape(-1)[plan.faulty] = plan.sums(np.ascontiguousarray(P))
     want, _, _ = dense_faulty_gemm(A, B, FaultConfig(3e-3, 4), RngStream(4, "g"))
     np.testing.assert_array_equal(C.view(np.uint32), want.view(np.uint32))
+
+
+def test_sums_keeps_the_running_sums_nan_without_accumulate_flips():
+    # np.add.reduce keeps the product's NaN where both addends are NaN in
+    # some lanes (17 and 20 columns here); sums keeps the running sum's, as
+    # the step-by-step injector does, also where no accumulate flip cuts a chain
+    running = np.array([0x7FC00001, 0x7F800011, 0xFFC00003, 0x7F800005] * 5, dtype=np.uint32)
+    products = np.array([0x7FC00002, 0x7FC00002, 0x7F800012, 0xFF800014] * 5, dtype=np.uint32)
+    for width in (1, 2, 17, 20):
+        faulty = np.arange(width)
+        none = np.zeros(0, dtype=np.intp)
+        plan = ReplayPlan(np.ones((1, width), dtype=bool), 0, 2, faulty, 0 * faulty, faulty, none, none, ())
+        P = np.stack([running[:width], products[:width]]).view(np.float32)
+        with np.errstate(invalid="ignore"):
+            out = plan.sums(P)
+        np.testing.assert_array_equal(out.view(np.uint32), running[:width] | np.uint32(0x400000))
 
 
 def test_memo_is_off_by_default_and_not_compared():

@@ -13,6 +13,7 @@ from ftgemm.tensor_core import (
     kchain,
     layernorm_rows,
     softmax_rows,
+    sum_rows,
 )
 
 
@@ -102,6 +103,72 @@ def test_numpy_reduces_outer_axis_in_order(width):
     for row in buf[1:]:
         fold = np.array([np.float32(a + b) for a, b in zip(fold, row)], dtype=np.float32)
     np.testing.assert_array_equal(np.add.reduce(buf, axis=0).view(np.uint32), fold.view(np.uint32))
+
+
+# the model's five GEMM shapes, then odd, single-column and single-cell ones
+@pytest.mark.parametrize("shape", [
+    (16, 32, 32), (16, 16, 16), (16, 32, 128), (16, 128, 32), (1, 32, 10),
+    (3, 70, 4), (5, 40, 1), (1, 40, 9), (1, 40, 1),
+])
+def test_gemm_matches_triple_loop_with_non_finite_operands(shape):
+    m, k, n = shape
+    rng = np.random.default_rng(m * 7 + k * 5 + n)
+    seen = np.zeros(3, dtype=bool)  # NaN, infinite and finite outputs
+    for _ in range(20):
+        A, B = _mixed_operands(rng, m, k, n)
+        A[rng.random(m) < 0.2] = -0.0  # rows of signed-zero chains
+        for X in (A, B):
+            bad = rng.random(X.shape) < 0.5 / k
+            X[bad] = rng.choice([np.nan, np.inf, -np.inf], size=bad.sum())
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = gemm(A, B), gemm_oracle(A, B)
+        # every value bit for bit; a NaN's sign and payload are not specified
+        # (the scalar oracle's inf - inf and inf * 0 differ in sign from numpy's)
+        nan = np.isnan(want)
+        seen |= [nan.any(), np.isinf(want).any(), np.isfinite(want).any()]
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
+    assert seen.all()
+
+
+def test_einsum_products_are_multiplys_but_for_signs_of_zero_and_nan_pairs():
+    # kchain builds its products with einsum('ik,kj->kij'): each is one
+    # float32 multiply, bit for bit np.multiply's, except that a zero
+    # product may take the other sign (no k-chain from +0.0 keeps -0.0) and
+    # that of two NaN factors it may keep the other's NaN
+    rng = np.random.default_rng(17)
+    for m, k, n in [(16, 32, 32), (16, 128, 32), (1, 32, 10), (3, 70, 4), (5, 40, 1)]:
+        A, B = _mixed_operands(rng, m, k, n)
+        A[rng.random(m) < 0.2] = -0.0
+        for X in (A, B):
+            bad = rng.random(X.shape) < 0.2
+            X[bad] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], size=bad.sum())
+            nan = rng.random(X.shape) < 0.1  # NaNs of any sign and payload
+            sign = rng.integers(0, 2, nan.sum()) << 31
+            X.view(np.uint32)[nan] = rng.integers(0, 1 << 22, nan.sum()) | 0x7F800001 | sign
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = np.einsum("ik,kj->kij", A, B)
+            want = np.multiply(A.T[:, :, None], B[:, None, :])
+        both_nan = np.isnan(A.T[:, :, None]) & np.isnan(B[:, None, :])
+        zero = want == 0
+        assert zero.any() and both_nan.any()
+        same = got.view(np.uint32) == want.view(np.uint32)
+        assert (same | zero | both_nan).all()
+        assert (got[zero] == 0).all() and np.isnan(got[both_nan]).all()
+
+
+@pytest.mark.parametrize("width", [1, 2, 17])
+def test_sum_rows_adds_the_rows_in_order(width):
+    # one column too, which np.add.reduce would sum pairwise
+    rng = np.random.default_rng(width)
+    P = (rng.standard_normal((64, width)) * 10.0 ** rng.uniform(-3, 3, (64, width))).astype(np.float32)
+    fold = P[0].copy()
+    for row in P[1:]:
+        fold = np.array([np.float32(a + b) for a, b in zip(fold, row)], dtype=np.float32)
+    out = np.empty(width, dtype=np.float32)
+    assert sum_rows(P, out=out) is out
+    for got in (out, sum_rows(P)):
+        np.testing.assert_array_equal(got.view(np.uint32), fold.view(np.uint32))
 
 
 def test_numpy_accumulate_keeps_the_running_sums_nan():

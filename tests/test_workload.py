@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ftgemm.faults import FaultConfig, RngStream
+from conftest import NoGen, plan_arrays
+from ftgemm.faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
 from ftgemm.abft import ThresholdSet, protect_gemm, strategy_from_name
 from ftgemm import abft, workload
 from ftgemm.tensor_core import OpCounter
@@ -207,6 +208,80 @@ def test_shared_draw_memo_forward_bits_and_records(default_model, small_dataset)
             np.testing.assert_array_equal(got_records[gid][0], cells)
             assert got_records[gid][1] == flips
     assert sum(flips for _, flips in want_records.values()) > 0
+
+
+def _count_streams(monkeypatch):
+    """Lists that record, from here on, every RngStream built (its
+    arguments) and every generator seeded (its SeedSequence entropy)."""
+    built, seeded = [], []
+    init, seed_sequence = RngStream.__init__, np.random.SeedSequence
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_seed_sequence(entropy):
+        seeded.append(np.asarray(entropy).tobytes())
+        return seed_sequence(entropy)
+
+    monkeypatch.setattr(RngStream, "__init__", counted_init)
+    monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
+    return built, seeded
+
+
+@pytest.mark.parametrize("scope", [None, frozenset({"layer0.attn.q", "layer1.ff.out", "classifier"})])
+def test_a_faulty_forward_builds_each_stream_and_generator_once(monkeypatch, default_model, small_dataset, scope):
+    x = small_dataset.inputs[1]
+    built, seeded = _count_streams(monkeypatch)
+    nodes = len(default_model.nodes) if scope is None else len(scope)
+    for strategy in (None, strategy_from_name("opt")):  # without a memo, each forward plans its own
+        built.clear(), seeded.clear()
+        forward(default_model, x, FaultConfig(1e-4, 47, scope=scope), strategy, trial=2, sample=1)
+        assert len(built) == len(default_model.nodes)
+        assert len(seeded) == len(set(seeded)) == nodes
+    # with a memo, a forward of the same streams builds every stream and no generator
+    cfg = FaultConfig(1e-4, 47, scope=scope, memo={})
+    want, _ = forward(default_model, x, cfg, trial=2, sample=1)
+    assert len(cfg.memo) == nodes
+    built.clear(), seeded.clear()
+    monkeypatch.setattr(RngStream, "gen", property(lambda stream: NoGen()))
+    for strategy in (None, strategy_from_name("opt")):
+        got, _ = forward(default_model, x, cfg, strategy, trial=2, sample=1)
+        if strategy is None:
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert len(built) == 2 * len(default_model.nodes) and not seeded
+
+
+def test_a_forwards_batch_plans_what_each_node_plans_alone(default_model, small_dataset):
+    # each node of a forward, planned in one batch with the others, replays
+    # what a direct faulty_gemm call on its own fresh stream draws
+    seen = []
+    cfg = FaultConfig(1e-4, 51, scope=frozenset(n.gemm_id for n in default_model.nodes[:-1]))
+
+    def observe(node, A, B, C, rec):
+        seen.append((node.gemm_id, A, B, C.view(np.uint32).copy(), rec.error_cells.copy(), rec.flips))
+
+    forward(default_model, small_dataset.inputs[3], cfg, trial=4, sample=3, observer=observe)
+    assert len(seen) == len(default_model.nodes) and sum(flips > 0 for *_, flips in seen) > 10
+    for gemm_id, A, B, C, cells, flips in seen:
+        rec = FaultRecord()
+        alone = faulty_gemm(A, B, cfg.restricted(gemm_id), RngStream(51, gemm_id, 4, 3), record=rec)
+        np.testing.assert_array_equal(alone.view(np.uint32), C)
+        np.testing.assert_array_equal(rec.error_cells, cells)
+        assert rec.flips == flips
+
+
+def test_a_forwards_memoized_plans_are_read_only(default_model, small_dataset):
+    cfg = FaultConfig(1e-4, 49, memo={})
+    forward(default_model, small_dataset.inputs[2], cfg, strategy_from_name("baseline"), trial=1, sample=2)
+    plans = [plan for plan in cfg.memo.values() if plan is not None]
+    assert len(cfg.memo) == len(default_model.nodes) and len(plans) > 1
+    assert any(plan.rounds for plan in plans)
+    for plan in plans:
+        for array in plan_arrays(plan):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 def _run_full_and_reused(model, data, cfg, strategy, thresholds):
