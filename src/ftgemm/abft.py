@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
+from .faults import FaultRecord, ReplayPlan, faulty_gemm
 from .tensor_core import ConfigError, OpCounter, ShapeError, as_matrix
 
 # Relative tolerance absorbing float32 round-off: a deviation only counts as
@@ -238,28 +238,27 @@ def correct_approx(C, residual, profiles: SumProfiles, mode: str):
 def protect_gemm(
     A,
     B,
-    cfg: FaultConfig,
+    plan: ReplayPlan | None,
     strategy: AbftStrategy,
     thresholds: ThresholdSet,
-    stream: RngStream,
     counter: OpCounter | None = None,
     record: FaultRecord | None = None,
     clean: np.ndarray | None = None,
     check: CleanCheck | None = None,
 ):
-    """Run one checksum-protected faulty GEMM.
+    """Run one checksum-protected GEMM with the flips of plan (faulty_gemm).
 
     Pipeline: checksums -> faulty GEMM -> detection; on a trigger, sum
     profiles -> localization -> exact correction -> approximate correction
     (or ignore, per strategy). The report counts the candidate grid from the
     lengths of the flagged rows and columns; the grid itself is never built.
-    `clean` goes to faulty_gemm; it comes back itself only if no flip was
-    drawn and detection did not trigger, since correction copies. `check`,
+    `clean` goes to faulty_gemm; it comes back itself only if there is no
+    plan and detection did not trigger, since correction copies. `check`,
     when given, must be clean_check(A, B, clean): its checksums stand in for
     precompute_checksums, and its MSD for detect while C is `clean` itself.
     """
     checksums = precompute_checksums(A, B) if check is None else check.checksums
-    C = faulty_gemm(A, B, cfg, stream, record=record, clean=clean)
+    C = faulty_gemm(A, B, plan, record=record, clean=clean)
     det_thresholds = thresholds if strategy.detection == "AED" else STRICT
     if check is not None and C is clean:
         det = _judge(check.msd, det_thresholds, check.floor)

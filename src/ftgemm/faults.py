@@ -6,14 +6,15 @@ are keyed by (seed, trial, sample, gemm_id) so trials can run in parallel
 without changing any result. A stream draws one binomial flip count per
 k-step class, then each flipped class's bit positions: the values that
 choice(nbits, count, replace=False) draws, drawn for all classes of a GEMM
-in one Generator.integers call. A forward's streams are planned in one batch.
+in one Generator.integers call. workload.forward plans its nodes' streams in
+one batch (plan_streams), and faulty_gemm replays the plan it is handed.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +40,7 @@ class FaultConfig:
     ber: float
     seed: int
     scope: frozenset | None = None  # None = every GEMM is subject to injection
-    # Draw memo: faulty_gemm's ReplayPlans (None for no flip) by (*stream.key,
+    # Draw memo: plan_streams's ReplayPlans (None for no flip) by (*stream.key,
     # m, n, k), so each stream is drawn and planned once. Give a config one
     # only where the same streams are replayed (every strategy of one campaign
     # trial, every evaluate of one search); it grows with the streams drawn
@@ -48,12 +49,6 @@ class FaultConfig:
 
     def __post_init__(self):
         check_real("ber", self.ber, 0.0, 1.0)
-
-    def restricted(self, gemm_id: str) -> "FaultConfig":
-        """Config as seen by one GEMM node: zero BER when out of scope."""
-        if self.scope is None or gemm_id in self.scope:
-            return self
-        return replace(self, ber=0.0)
 
 
 class RngStream:
@@ -189,11 +184,11 @@ class ReplayPlan(NamedTuple):
         (modified in place).
 
         Multiply flips are xor-ed into P, and its columns are summed in order
-        from +0.0 by sum_rows, or where chains are cut or a sum is NaN by
-        np.add.accumulate, which alone keeps the running sum's NaN in every
-        lane where both operands are NaN. Accumulate flips cut a chain into
-        segments; round r sums, for each chain, the segment after its r-th
-        flipped step, starting from the xor-ed sum at that step.
+        from +0.0 by sum_rows, or where chains are cut by np.add.accumulate,
+        which keeps the running sum's NaN where both addends are NaN, as
+        sum_rows does. Accumulate flips cut a chain into segments; round r
+        sums, for each chain, the segment after its r-th flipped step,
+        starting from the xor-ed sum at that step.
 
         ValueError unless P is a C-ordered float32 (k, faulty.size) array:
         the flips are xor-ed into a flat view of P, which any other layout
@@ -204,11 +199,7 @@ class ReplayPlan(NamedTuple):
         np.bitwise_xor.at(P.view(np.uint32).reshape(-1), self.mul_at, self.mul_bits)
         P[0] += np.float32(0.0)  # each chain starts at +0.0
         if not self.rounds:
-            out = sum_rows(P)
-            nan = np.isnan(out)  # np.add.reduce keeps the product's NaN in some lanes
-            if nan.any():
-                out[nan] = np.add.accumulate(P[:, nan], axis=0)[-1]
-            return out
+            return sum_rows(P)
         cum = np.add.accumulate(P, axis=0)
         out = cum[-1].copy()
         cols, base = self.rounds[0][:2]  # each chain's first flipped step
@@ -309,31 +300,27 @@ def _rounds(gemm, col, step, bits, nf, k) -> dict:
 def faulty_gemm(
     A,
     B,
-    cfg: FaultConfig,
-    stream: RngStream,
-    *,
+    plan: ReplayPlan | None,
+    *,  # perfbench's tracer passes record= by keyword to calls of fewer than six positional arguments
     record: FaultRecord | None = None,
     clean: np.ndarray | None = None,
 ) -> np.ndarray:
-    """GEMM with bit flips injected into every primitive-operation output.
+    """GEMM with the bit flips of plan injected into its primitive-operation
+    outputs; plan is its stream's draw (plan_streams), or None for no flip.
 
     Cell (i, j) is gemm()'s k-chain with flips: for kk ascending, acc = acc
     + (A[i, kk] * B[kk, j] ^ multiply flips of step kk), then, from kk = 1,
     acc ^= accumulate flips of step kk. Where acc and the product are both
-    NaN, the sum keeps acc's NaN. With cfg.ber == 0 the result is
-    bit-identical to gemm(), and the stream is not used, so it never builds
-    its generator.
+    NaN, the sum keeps acc's NaN. With no plan the result is bit-identical
+    to gemm().
 
-    The stream draws what a step-by-step injector draws, in the same order
-    (see _draw_flips), but all up front, since no draw depends on a value.
-    The draw becomes a ReplayPlan (workload.forward plans them all first);
     kchain computes the clean product, and only the cells that took a flip
     are replayed, from their products. A record's error_cells is the plan's
-    read-only mask.
+    read-only mask. ShapeError if the plan was drawn for another shape.
 
     `clean`, when given, must be gemm(A, B) and stands in for kchain: it is
-    returned itself if the stream draws no flip, and otherwise copied
-    before the flipped cells are replayed into it.
+    returned itself if there is no plan, and otherwise copied before the
+    flipped cells are replayed into it.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -341,7 +328,8 @@ def faulty_gemm(
         raise ShapeError(f"gemm shape mismatch: {A.shape} x {B.shape}")
     m, k = A.shape
     n = B.shape[1]
-    plan = _replay_plan(cfg, stream, m, n, k) if cfg.ber > 0.0 else None
+    if plan is not None and (plan.cells.shape, plan.k) != ((m, n), k):
+        raise ShapeError(f"plan for {plan.cells.shape} with k={plan.k} given a {(m, k)} x {(k, n)} GEMM")
     if record is not None:
         if plan is None:
             record.error_cells, record.flips = np.zeros((m, n), dtype=bool), 0
@@ -362,19 +350,14 @@ def faulty_gemm(
     return C
 
 
-def plan_streams(cfg: FaultConfig, jobs) -> None:
-    """Draw and plan into cfg.memo, in one batch (_plan_batch), each (stream,
-    m, n, k) of jobs, an (m, k) x (k, n) GEMM's stream, that it lacks."""
-    todo = [(stream, m, n, k) for stream, m, n, k in jobs if (*stream.key, m, n, k) not in cfg.memo]
-    plans = _plan_batch([(stream.gen, cfg.ber, m, n, k) for stream, m, n, k in todo])
-    cfg.memo.update(((*stream.key, m, n, k), plan) for (stream, m, n, k), plan in zip(todo, plans))
-
-
-def _replay_plan(cfg: FaultConfig, stream: RngStream, m: int, n: int, k: int):
-    """The ReplayPlan of the stream's draw for an (m, k) x (k, n) GEMM, or
-    None for no flip; planned once per key when cfg has a memo."""
+def plan_streams(cfg: FaultConfig, jobs) -> list:
+    """The ReplayPlan at cfg.ber, or None for no flip, of each (stream, m, n,
+    k) of jobs, an (m, k) x (k, n) GEMM's stream. The streams cfg.memo lacks
+    (all, without a memo) draw what a step-by-step injector draws, in the
+    same order (see _draw_flips), and are planned in one batch
+    (_plan_batch), into the memo."""
     memo = {} if cfg.memo is None else cfg.memo
-    key = (*stream.key, m, n, k)
-    if key not in memo:
-        memo[key], = _plan_batch([(stream.gen, cfg.ber, m, n, k)])
-    return memo[key]
+    keys = [(*stream.key, m, n, k) for stream, m, n, k in jobs]
+    todo = {key: job for key, job in zip(keys, jobs) if key not in memo}
+    memo.update(zip(todo, _plan_batch([(stream.gen, cfg.ber, m, n, k) for stream, m, n, k in todo.values()])))
+    return [memo[key] for key in keys]

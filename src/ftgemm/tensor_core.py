@@ -87,14 +87,26 @@ _CHUNK_ELEMS = 1 << 14
 
 
 def sum_rows(P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The rows of a C-ordered 2-D array summed in order (into out, if given).
-    numpy reduces the outer axis of such an array one row after another, but
-    a single column is the contiguous axis, which it sums pairwise, so that
-    one is summed by the sequential np.add.accumulate."""
-    if P.shape[1] != 1:
-        return np.add.reduce(P, axis=0, out=out)
-    out = np.empty(1, dtype=P.dtype) if out is None else out
-    out[0] = np.add.accumulate(P[:, 0])[-1]
+    """The rows of a C-ordered 2-D float32 array summed in order (into out, if
+    given) as a scalar loop sums them, which keeps the running sum's NaN,
+    quieted, where both addends are NaN. np.add.reduce sums a single column
+    (the contiguous axis) pairwise and keeps the later NaN in some lanes, so
+    one column, and a NaN sum whose first NaN is in neither row 0 nor row 1,
+    are summed by the sequential np.add.accumulate."""
+    if P.shape[1] == 1:
+        out = np.empty(1, dtype=P.dtype) if out is None else out
+        out[0] = np.add.accumulate(P[:, 0])[-1]
+        return out
+    out = np.add.reduce(P, axis=0, out=out)
+    nan = np.isnan(out)
+    if np.count_nonzero(nan):  # faster than nan.any()
+        # no sum before row 0 or row 1 is NaN, so the sum keeps the first NaN of the two
+        head = np.where(np.isnan(P[0]), P[0], P[:2][-1])
+        lead = np.isnan(head)
+        np.copyto(out.view(np.uint32), head.view(np.uint32) | np.uint32(0x400000), where=lead)
+        nan &= ~lead
+        if np.count_nonzero(nan):
+            out[nan] = np.add.accumulate(P[:, nan], axis=0)[-1]
     return out
 
 

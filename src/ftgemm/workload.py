@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
@@ -191,8 +191,10 @@ def forward(
     or for a GEMM node as faulty_gemm's or protect_gemm's `clean`, with its
     CleanCheck, which they return unless it draws a flip or detection
     triggers.
-    With a cfg, every faulty node's stream is planned in one batch first,
-    into cfg.memo or else a memo of this forward's (faults.plan_streams).
+    With a cfg, this is the one place that turns it into flips: every node
+    in cfg.scope (all without one) at cfg.ber > 0 is planned first, in one
+    batch (faults.plan_streams), and each node's faulty_gemm or
+    protect_gemm replays its plan, or None for a node that draws no flip.
     """
     mc = model.cfg
     X = np.asarray(X, dtype=np.float32)
@@ -204,11 +206,13 @@ def forward(
     env.update(model.weights)
     stored = clean.values if clean is not None and clean.values["input"] is X else None
     same = {"input", *model.weights}  # with stored, the names whose value is its own array
+    plans = {}
     if cfg is not None:
-        cfg = replace(cfg, memo={}) if cfg.memo is None else cfg
-        streams = {n.gemm_id: RngStream(cfg.seed, n.gemm_id, trial, sample) for n in model.nodes}
-        plan_streams(cfg, [(streams[n.gemm_id], n.shape.m, n.shape.n, n.shape.k) for n in model.nodes
-                           if cfg.ber > 0.0 and (cfg.scope is None or n.gemm_id in cfg.scope)])
+        # every node's stream, in scope or not: perfbench counts one RngStream per node per faulty forward
+        streams = [RngStream(cfg.seed, n.gemm_id, trial, sample) for n in model.nodes]
+        jobs = {n.gemm_id: (stream, n.shape.m, n.shape.n, n.shape.k) for n, stream in zip(model.nodes, streams)
+                if cfg.ber > 0.0 and (cfg.scope is None or n.gemm_id in cfg.scope)}
+        plans = dict(zip(jobs, plan_streams(cfg, list(jobs.values()))))
 
     def run(gemm_id: str, C0, A, B):
         """GEMM node gemm_id on A and B; C0 is its clean output if they are
@@ -220,15 +224,15 @@ def forward(
             C = gemm(A, B)
             rec = None
         else:
-            node_cfg = cfg.restricted(gemm_id)
+            # also without a plan: perfbench counts one faulty_gemm or protect_gemm per node
+            plan = plans.get(gemm_id)
             rec = FaultRecord() if observer is not None else None
             if strategy is None:
-                C = faulty_gemm(A, B, node_cfg, streams[gemm_id], record=rec, clean=C0)
+                C = faulty_gemm(A, B, plan, record=rec, clean=C0)
             else:
                 ts = STRICT if thresholds is None else thresholds[gemm_id]
                 check = None if C0 is None else clean.check(gemm_id, A, B)
-                C, det, corr = protect_gemm(A, B, node_cfg, strategy, ts, streams[gemm_id], counter, record=rec,
-                                            clean=C0, check=check)
+                C, det, corr = protect_gemm(A, B, plan, strategy, ts, counter, record=rec, clean=C0, check=check)
                 reports[gemm_id] = (det, corr)
         if observer is not None:
             observer(node, A, B, C, rec)

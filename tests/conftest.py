@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ftgemm import abft
-from ftgemm.faults import faulty_gemm
+from ftgemm.faults import faulty_gemm, plan_streams
 from ftgemm.tensor_core import as_matrix, gemm
 from ftgemm.workload import ModelConfig, build_model, generate_dataset
 
@@ -63,6 +63,13 @@ def plan_arrays(plan):
             yield value
         elif isinstance(value, tuple):
             yield from plan_arrays(value)
+
+
+def plan_for(A, B, cfg, stream):
+    """The plan of stream for an A x B GEMM at cfg.ber, as forward hands it
+    to faulty_gemm: plan_streams(cfg, [(stream, m, n, k)])[0]."""
+    (m, k), n = np.shape(A), np.shape(B)[1]
+    return plan_streams(cfg, [(stream, m, n, k)])[0]
 
 
 class NoGen:
@@ -217,7 +224,7 @@ def inject_single(C, r: int, c: int, delta) -> np.ndarray:
 
 def tamper_faulty_gemm(monkeypatch, tamper):
     """Make protect_gemm see tamper(C) in place of its faulty GEMM's output C;
-    the GEMM itself still runs and draws from its stream."""
+    the GEMM itself still runs and replays its plan."""
     monkeypatch.setattr(abft, "faulty_gemm", lambda *a, **k: tamper(faulty_gemm(*a, **k)))
 
 

@@ -7,6 +7,7 @@ from conftest import (
     correct_exact_oracle,
     inject_single,
     localize_oracle,
+    plan_for,
     residual_cells,
     tamper_faulty_gemm,
 )
@@ -268,7 +269,7 @@ class TestRecoveryMatchesOracle:
         fixed = residuals = 0
         for ber in (1e-5, 1e-4, 1e-3, 3e-3):
             for seed in range(3):
-                C = faulty_gemm(A, B, FaultConfig(ber, seed), RngStream(seed, "oracle"))
+                C = faulty_gemm(A, B, plan_for(A, B, FaultConfig(ber, seed), RngStream(seed, "oracle")))
                 with np.errstate(all="ignore"):
                     prof = compute_sum_profiles(A, B, C, checksums=ck)
                     rsd = np.abs(prof.rsd[np.isfinite(prof.rsd)])
@@ -322,15 +323,13 @@ class TestProtectGemm:
         A = rng.uniform(-1, 1, (n, n)).astype(np.float32)
         B = rng.uniform(-1, 1, (n, n)).astype(np.float32)
         c = OpCounter()
-        stream = RngStream(1)
-        C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 1), strategy_from_name("baseline"), ThresholdSet(),
-            stream, c,
-        )
+        # (a forward plans no node at BER 0, so it seeds no generator there:
+        # test_a_faulty_forward_builds_each_stream_and_generator_once)
+        plan = plan_for(A, B, FaultConfig(0.0, 1), RngStream(1))
+        C, det, rep = protect_gemm(A, B, plan, strategy_from_name("baseline"), ThresholdSet(), c)
         assert not det.triggered
         assert c.abft_mults == n
         np.testing.assert_array_equal(C, gemm(A, B))
-        assert "gen" not in vars(stream)  # a BER-0 node never seeds a generator
 
     def test_forced_single_fault_restored(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -340,10 +339,8 @@ class TestProtectGemm:
         clean = gemm(A, B)
         c = OpCounter()
         tamper_faulty_gemm(monkeypatch, lambda M: inject_single(M, 3, 5, 40.0))
-        C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 2), strategy_from_name("baseline"), ThresholdSet(),
-            RngStream(2), c,
-        )
+        plan = plan_for(A, B, FaultConfig(0.0, 2), RngStream(2))
+        C, det, rep = protect_gemm(A, B, plan, strategy_from_name("baseline"), ThresholdSet(), c)
         assert det.triggered
         assert rep.exact_corrected == 1
         assert c.abft_mults == n + 2 * n * n
@@ -360,9 +357,8 @@ class TestProtectGemm:
             return M
 
         tamper_faulty_gemm(monkeypatch, tamper)
-        C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 3), strategy_from_name("opt"), ThresholdSet(), RngStream(3),
-        )
+        plan = plan_for(A, B, FaultConfig(0.0, 3), RngStream(3))
+        C, det, rep = protect_gemm(A, B, plan, strategy_from_name("opt"), ThresholdSet())
         assert rep.exact_corrected == 0 and rep.approx_corrected == 4
         assert rep.ignored == 0
         for r, c in [(0, 0), (0, 1), (1, 0), (1, 1)]:
@@ -379,9 +375,8 @@ class TestProtectGemm:
             return M
 
         tamper_faulty_gemm(monkeypatch, tamper)
-        C, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 4), strategy_from_name("baseline"), ThresholdSet(), RngStream(4),
-        )
+        plan = plan_for(A, B, FaultConfig(0.0, 4), RngStream(4))
+        C, det, rep = protect_gemm(A, B, plan, strategy_from_name("baseline"), ThresholdSet())
         assert rep.ignored == 4 and rep.approx_corrected == 0
 
     @pytest.mark.parametrize("m, k, n", [(3, 5, 7), (16, 16, 16)])
@@ -403,9 +398,8 @@ class TestProtectGemm:
 
         tamper_faulty_gemm(monkeypatch, tamper)
         c = OpCounter()
-        _, det, rep = protect_gemm(
-            A, B, FaultConfig(0.0, 5), strategy_from_name(strategy), ThresholdSet(), RngStream(5), c,
-        )
+        plan = plan_for(A, B, FaultConfig(0.0, 5), RngStream(5))
+        _, det, rep = protect_gemm(A, B, plan, strategy_from_name(strategy), ThresholdSet(), c)
         assert det.triggered == bool(cells) and rep.exact_corrected == exact
         # checksums, output total, detection; on a trigger, sum profiles,
         # localization, exact fixes and averaged residuals

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import inject_single, tamper_faulty_gemm
+from conftest import inject_single, plan_for, tamper_faulty_gemm
 from ftgemm.abft import (
     REL_EPS,
     ThresholdSet,
@@ -129,13 +129,13 @@ def test_cost_model_exactness(monkeypatch):
         strat = strategy_from_name("baseline")
 
         quiet = OpCounter()
-        _, det, _ = protect_gemm(A, B, cfg, strat, ThresholdSet(), RngStream(1, "c1", n), quiet)
+        _, det, _ = protect_gemm(A, B, plan_for(A, B, cfg, RngStream(1, "c1", n)), strat, ThresholdSet(), quiet)
         ok &= not det.triggered and quiet.abft_mults == n
 
         loud = OpCounter()
         with monkeypatch.context() as mp:
             tamper_faulty_gemm(mp, lambda C: inject_single(C, 0, 0, 1e6))
-            _, det, _ = protect_gemm(A, B, cfg, strat, ThresholdSet(), RngStream(1, "c1", n), loud)
+            _, det, _ = protect_gemm(A, B, plan_for(A, B, cfg, RngStream(1, "c1", n)), strat, ThresholdSet(), loud)
         ok &= det.triggered and loud.abft_mults == n + 2 * n * n
     elapsed = time.time() - t0
     _verdict(1, ok and elapsed < 1.0, f"n+2n^2 integer equalities, {elapsed:.2f}s")
@@ -248,7 +248,7 @@ def test_l_shape_pattern_zeroed(monkeypatch):
 
     tamper_faulty_gemm(monkeypatch, tamper)
     _, det, report = protect_gemm(
-        A, B, FaultConfig(0.0, 1), strategy_from_name("opt"), ThresholdSet(), RngStream(1, "c4"),
+        A, B, plan_for(A, B, FaultConfig(0.0, 1), RngStream(1, "c4")), strategy_from_name("opt"), ThresholdSet(),
     )
     ok &= det.triggered and report.exact_corrected == 0 and report.approx_corrected == 4
     _verdict(4, ok, "4 candidate cells zeroed, 0 exact corrections")
@@ -265,7 +265,7 @@ def test_no_false_positives():
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
         A = (scale * rng.uniform(-1, 1, (m, k))).astype(np.float32)
         B = rng.uniform(-1, 1, (k, n)).astype(np.float32)
-        _, det, _ = protect_gemm(A, B, cfg, strat, ThresholdSet(), RngStream(5, "c5", i))
+        _, det, _ = protect_gemm(A, B, plan_for(A, B, cfg, RngStream(5, "c5", i)), strat, ThresholdSet())
         triggered += det.triggered
     elapsed = time.time() - t0
     _verdict(
@@ -280,7 +280,7 @@ def test_threshold_monotonicity():
         rng = np.random.default_rng(600 + t)
         A = rng.uniform(-1, 1, (24, 24)).astype(np.float32)
         B = rng.uniform(-1, 1, (24, 24)).astype(np.float32)
-        C = faulty_gemm(A, B, FaultConfig(5e-5, 6), RngStream(6, "c6", t))
+        C = faulty_gemm(A, B, plan_for(A, B, FaultConfig(5e-5, 6), RngStream(6, "c6", t)))
         ck = precompute_checksums(A, B)
         with np.errstate(invalid="ignore"):
             prof = compute_sum_profiles(A, B, C, checksums=ck)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import NoGen, dense_faulty_gemm, inject_single, plan_arrays
+from conftest import NoGen, dense_faulty_gemm, inject_single, plan_arrays, plan_for
 from ftgemm import faults
 from ftgemm.faults import (
     FaultConfig,
@@ -14,7 +14,8 @@ from ftgemm.faults import (
     _plan_batch,
     faulty_gemm,
 )
-from ftgemm.tensor_core import gemm
+from ftgemm.tensor_core import ShapeError, gemm
+from ftgemm.workload import forward
 
 
 def test_stream_determinism_and_key_separation():
@@ -41,13 +42,15 @@ def test_stream_equals_eagerly_built_generator(seed, default_model):
 
 
 def test_faulty_gemm_ber_zero_bit_identical():
+    # (a forward plans no node at BER 0, so it seeds no generator there:
+    # test_a_faulty_forward_builds_each_stream_and_generator_once)
     rng = np.random.default_rng(0)
     A = rng.uniform(-1, 1, (5, 7)).astype(np.float32)
     B = rng.uniform(-1, 1, (7, 4)).astype(np.float32)
-    stream = RngStream(123)
-    out = faulty_gemm(A, B, FaultConfig(0.0, 123), stream)
+    plan = plan_for(A, B, FaultConfig(0.0, 123), RngStream(123))
+    assert plan is None
+    out = faulty_gemm(A, B, plan)
     np.testing.assert_array_equal(out.view(np.uint32), gemm(A, B).view(np.uint32))
-    assert "gen" not in vars(stream)  # a BER-0 node never seeds a generator
 
 
 def test_faulty_gemm_seed_determinism():
@@ -55,8 +58,8 @@ def test_faulty_gemm_seed_determinism():
     A = rng.uniform(-1, 1, (8, 8)).astype(np.float32)
     B = rng.uniform(-1, 1, (8, 8)).astype(np.float32)
     cfg = FaultConfig(0.01, 77)
-    out1 = faulty_gemm(A, B, cfg, RngStream(77, "g", 2, 3))
-    out2 = faulty_gemm(A, B, cfg, RngStream(77, "g", 2, 3))
+    out1 = faulty_gemm(A, B, plan_for(A, B, cfg, RngStream(77, "g", 2, 3)))
+    out2 = faulty_gemm(A, B, plan_for(A, B, cfg, RngStream(77, "g", 2, 3)))
     np.testing.assert_array_equal(out1.view(np.uint32), out2.view(np.uint32))
 
 
@@ -83,7 +86,7 @@ def test_faulty_gemm_single_forced_mantissa_flip():
     stream = RngStream(0)
     stream.gen = _OneFlipGen(1 * 32 + 10)  # bit 10 of cell (0, 1) in step 0's product
     rec = FaultRecord()
-    out = faulty_gemm(A, B, FaultConfig(0.5, 0), stream, record=rec)
+    out = faulty_gemm(A, B, plan_for(A, B, FaultConfig(0.5, 0), stream), record=rec)
     diff = out != clean
     assert diff.sum() == 1 and diff[0, 1]
     assert rec.error_cells[0, 1] and rec.error_cells.sum() == 1
@@ -100,7 +103,7 @@ def test_faulty_gemm_flip_count_statistics():
     flips = 0
     for t in range(calls):
         rec = FaultRecord()
-        faulty_gemm(A, B, FaultConfig(ber, 5), RngStream(5, "g", trial=t), record=rec)
+        faulty_gemm(A, B, plan_for(A, B, FaultConfig(ber, 5), RngStream(5, "g", trial=t)), record=rec)
         flips += rec.flips
     draws = 32 * m * n * (2 * k - 1) * calls
     assert abs(flips - draws * ber) <= 3 * np.sqrt(draws * ber * (1 - ber))
@@ -112,7 +115,7 @@ def test_faulty_gemm_record_tracks_cells():
     B = rng.uniform(-1, 1, (6, 6)).astype(np.float32)
     cfg = FaultConfig(0.002, 5)
     rec = FaultRecord()
-    faulty_gemm(A, B, cfg, RngStream(5), record=rec)
+    faulty_gemm(A, B, plan_for(A, B, cfg, RngStream(5)), record=rec)
     _, mask, flips = dense_faulty_gemm(A, B, cfg, RngStream(5))
     np.testing.assert_array_equal(rec.error_cells, mask)
     assert rec.flips == flips > 0
@@ -137,7 +140,7 @@ def test_faulty_gemm_matches_dense_injector(shape):
         cfg = FaultConfig(10.0 ** rng.uniform(lo, hi), case)
         rec = FaultRecord()
         stream, oracle_stream = RngStream(case, "g", 1, 2), RngStream(case, "g", 1, 2)
-        out = faulty_gemm(A, B, cfg, stream, record=rec)
+        out = faulty_gemm(A, B, plan_for(A, B, cfg, stream), record=rec)
         want, mask, flips = dense_faulty_gemm(A, B, cfg, oracle_stream)
         np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
         np.testing.assert_array_equal(rec.error_cells, mask)
@@ -151,7 +154,7 @@ def test_faulty_gemm_matches_dense_injector(shape):
         # result without a k-chain; with no flip, the clean output itself
         clean = gemm(A, B)
         clean.flags.writeable = False
-        reused = faulty_gemm(A, B, cfg, RngStream(case, "g", 1, 2), record=rec, clean=clean)
+        reused = faulty_gemm(A, B, plan_for(A, B, cfg, RngStream(case, "g", 1, 2)), record=rec, clean=clean)
         np.testing.assert_array_equal(reused.view(np.uint32), want.view(np.uint32))
         np.testing.assert_array_equal(rec.error_cells, mask)
         assert rec.flips == flips
@@ -234,20 +237,39 @@ def test_inject_single():
         inject_single(C, 2, 0, 1.0)
 
 
-def test_fault_config_validation_and_scope():
+def test_fault_config_validation_and_scope(default_model, small_dataset):
     with pytest.raises(ValueError):
         FaultConfig(-0.1, 0)
-    cfg = FaultConfig(0.5, 0, scope=frozenset({"a"}))
-    assert cfg.restricted("a") is cfg
-    assert cfg.restricted("b").ber == 0.0
-    assert cfg.restricted("a").ber == 0.5
-    unscoped = FaultConfig(0.5, 0)
-    assert unscoped.restricted("anything") is unscoped
+    # forward plans the nodes in scope only: each other node takes no flip
+    # and gives gemm's output bit for bit
+    scope = frozenset(node.gemm_id for node in default_model.nodes[::3])
+    seen = {}
+
+    def observe(node, A, B, C, rec):
+        seen[node.gemm_id] = (rec.flips, C.view(np.uint32).copy(), gemm(A, B).view(np.uint32))
+
+    forward(default_model, small_dataset.inputs[0], FaultConfig(1e-4, 7, scope=scope), observer=observe)
+    assert len(seen) == len(default_model.nodes) > len(scope)
+    assert any(seen[gemm_id][0] > 0 for gemm_id in scope)
+    for gemm_id, (flips, C, clean) in seen.items():
+        if gemm_id not in scope:
+            assert flips == 0
+            np.testing.assert_array_equal(C, clean)
+
+
+def test_faulty_gemm_rejects_another_gemms_plan():
+    A, B = _operands(13, 8, 9, 7)
+    plan = plan_for(A, B, FaultConfig(3e-3, 4), RngStream(4, "g"))
+    assert plan is not None
+    faulty_gemm(A, B, plan)
+    for m, k, n in ((8, 9, 5), (7, 9, 7), (8, 10, 7)):
+        with pytest.raises(ShapeError, match="plan for"):
+            faulty_gemm(*_operands(14, m, k, n), plan)
 
 
 def _faulty(A, B, cfg, stream, clean=None):
     rec = FaultRecord()
-    C = faulty_gemm(A, B, cfg, stream, record=rec, clean=clean)
+    C = faulty_gemm(A, B, plan_for(A, B, cfg, stream), record=rec, clean=clean)
     return C.view(np.uint32).copy(), rec.error_cells, rec.flips
 
 
@@ -288,8 +310,9 @@ def test_memo_keys_on_the_whole_stream_key_and_the_shape():
 def test_memoized_draws_are_read_only():
     A, B = _operands(10, 8, 9, 7)
     cfg = FaultConfig(3e-3, 4, memo={})
-    faulty_gemm(A, B, cfg, RngStream(4, "g"))
-    faulty_gemm(*_operands(11, 1, 1, 1), cfg, RngStream(4, "h"))  # 32 bits: draws no flip
+    faulty_gemm(A, B, plan_for(A, B, cfg, RngStream(4, "g")))
+    A1, B1 = _operands(11, 1, 1, 1)
+    faulty_gemm(A1, B1, plan_for(A1, B1, cfg, RngStream(4, "h")))  # 32 bits: draws no flip
     plans = [v for v in cfg.memo.values() if v is not None]
     assert len(plans) == 1 and None in cfg.memo.values()
     plan = plans[0]

@@ -157,18 +157,45 @@ def test_einsum_products_are_multiplys_but_for_signs_of_zero_and_nan_pairs():
         assert (got[zero] == 0).all() and np.isnan(got[both_nan]).all()
 
 
-@pytest.mark.parametrize("width", [1, 2, 17])
+@pytest.mark.parametrize("width", [1, 2, 17, 20])
 def test_sum_rows_adds_the_rows_in_order(width):
-    # one column too, which np.add.reduce would sum pairwise
+    # one column too, which np.add.reduce would sum pairwise; at 17 and 20
+    # columns, rows of NaNs of any sign and payload, where np.add.reduce
+    # keeps the later addend's NaN in some lanes: the sum keeps the running
+    # sum's, quieted. Column 0 takes its first NaN in row 0, column 1 in row
+    # 1, and column 2 makes one of inf - inf before its first NaN addend.
     rng = np.random.default_rng(width)
     P = (rng.standard_normal((64, width)) * 10.0 ** rng.uniform(-3, 3, (64, width))).astype(np.float32)
+    if width > 2:
+        shape = (4, width)
+        P.view(np.uint32)[[3, 4, 30, 63]] = (rng.integers(1, 1 << 22, shape) | 0x7F800000
+                                              | rng.integers(0, 2, shape) << 31)
+        P.view(np.uint32)[[0, 1], [0, 1]] = [0x7F800003, 0xFF800005]
+        P[[1, 2], 2] = [np.inf, -np.inf]
     fold = P[0].copy()
     for row in P[1:]:
-        fold = np.array([np.float32(a + b) for a, b in zip(fold, row)], dtype=np.float32)
+        both = np.isnan(fold) & np.isnan(row)
+        kept = fold.view(np.uint32)[both] | np.uint32(0x400000)
+        with np.errstate(invalid="ignore"):
+            fold = np.array([np.float32(a + b) for a, b in zip(fold, row)], dtype=np.float32)
+        fold.view(np.uint32)[both] = kept
     out = np.empty(width, dtype=np.float32)
-    assert sum_rows(P, out=out) is out
-    for got in (out, sum_rows(P)):
+    with np.errstate(invalid="ignore"):
+        assert sum_rows(P, out=out) is out
+        got = sum_rows(P)
+    assert np.isnan(fold).all() == (width > 2)
+    for got in (out, got):
         np.testing.assert_array_equal(got.view(np.uint32), fold.view(np.uint32))
+
+
+@pytest.mark.parametrize("n", [17, 20, 33, 100])
+def test_gemm_keeps_the_running_sums_nan(n):
+    # NaN products in every lane of a chunk: gemm keeps the first, the
+    # running sum's, as the scalar loop does
+    A = np.array([[0x7FC00001, 0x7FC00002]], dtype=np.uint32).view(np.float32)
+    with np.errstate(invalid="ignore"):
+        C = gemm(A, np.ones((2, n), np.float32))
+    np.testing.assert_array_equal(C.view(np.uint32), np.full((1, n), 0x7FC00001, dtype=np.uint32))
 
 
 def test_numpy_accumulate_keeps_the_running_sums_nan():

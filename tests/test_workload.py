@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import NoGen, plan_arrays
+from conftest import NoGen, plan_arrays, plan_for
 from ftgemm.faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
 from ftgemm.abft import ThresholdSet, protect_gemm, strategy_from_name
 from ftgemm import abft, workload
@@ -90,7 +90,7 @@ def test_scope_completeness_counter(default_model, small_dataset):
     # protect_gemm charges ABFT operations only
     c = OpCounter()
     X = np.ones((3, 3), np.float32)
-    protect_gemm(X, X, faulty, strategy_from_name("baseline"), ThresholdSet(), RngStream(1), c)
+    protect_gemm(X, X, plan_for(X, X, faulty, RngStream(1)), strategy_from_name("baseline"), ThresholdSet(), c)
     assert c.workload_mults == 0 and c.abft_mults > 0
 
 
@@ -234,6 +234,8 @@ def test_a_faulty_forward_builds_each_stream_and_generator_once(monkeypatch, def
     x = small_dataset.inputs[1]
     built, seeded = _count_streams(monkeypatch)
     nodes = len(default_model.nodes) if scope is None else len(scope)
+    forward(default_model, x, FaultConfig(0.0, 47, scope=scope), trial=2, sample=1)
+    assert len(built) == len(default_model.nodes) and not seeded  # a BER-0 node never seeds a generator
     for strategy in (None, strategy_from_name("opt")):  # without a memo, each forward plans its own
         built.clear(), seeded.clear()
         forward(default_model, x, FaultConfig(1e-4, 47, scope=scope), strategy, trial=2, sample=1)
@@ -254,7 +256,8 @@ def test_a_faulty_forward_builds_each_stream_and_generator_once(monkeypatch, def
 
 def test_a_forwards_batch_plans_what_each_node_plans_alone(default_model, small_dataset):
     # each node of a forward, planned in one batch with the others, replays
-    # what a direct faulty_gemm call on its own fresh stream draws
+    # what a direct faulty_gemm call draws on its own fresh stream, or, out
+    # of scope, a call without a plan
     seen = []
     cfg = FaultConfig(1e-4, 51, scope=frozenset(n.gemm_id for n in default_model.nodes[:-1]))
 
@@ -265,7 +268,8 @@ def test_a_forwards_batch_plans_what_each_node_plans_alone(default_model, small_
     assert len(seen) == len(default_model.nodes) and sum(flips > 0 for *_, flips in seen) > 10
     for gemm_id, A, B, C, cells, flips in seen:
         rec = FaultRecord()
-        alone = faulty_gemm(A, B, cfg.restricted(gemm_id), RngStream(51, gemm_id, 4, 3), record=rec)
+        plan = plan_for(A, B, cfg, RngStream(51, gemm_id, 4, 3)) if gemm_id in cfg.scope else None
+        alone = faulty_gemm(A, B, plan, record=rec)
         np.testing.assert_array_equal(alone.view(np.uint32), C)
         np.testing.assert_array_equal(rec.error_cells, cells)
         assert rec.flips == flips
