@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faults import FaultRecord, ReplayPlan, faulty_gemm
+from .faults import ReplayPlan, faulty_gemm
 from .tensor_core import ConfigError, OpCounter, ShapeError, as_matrix
 
 # Relative tolerance absorbing float32 round-off: a deviation only counts as
@@ -88,11 +88,12 @@ class DetectionReport:
 
 @dataclass(frozen=True)
 class CleanCheck:
-    """The checks of one GEMM on clean operands, which every protected
-    forward of its sample that reads them shares: the checksums, with
+    """One GEMM on clean operands, which every protected forward of its
+    sample that reads them shares: its clean output, the checksums, with
     a_colsum and b_rowsum read-only, the clean output's MSD and the
     round-off floor fp_floor(checksums.total_scale)."""
 
+    output: np.ndarray
     checksums: Checksums
     msd: float
     floor: float
@@ -103,7 +104,7 @@ def clean_check(A, B, C) -> CleanCheck:
     checksums = precompute_checksums(A, B)
     checksums.a_colsum.flags.writeable = checksums.b_rowsum.flags.writeable = False
     det = detect(C, checksums)
-    return CleanCheck(checksums, det.msd, fp_floor(checksums.total_scale))
+    return CleanCheck(C, checksums, det.msd, fp_floor(checksums.total_scale))
 
 
 @dataclass
@@ -242,9 +243,7 @@ def protect_gemm(
     strategy: AbftStrategy,
     thresholds: ThresholdSet,
     counter: OpCounter | None = None,
-    record: FaultRecord | None = None,
-    clean: np.ndarray | None = None,
-    check: CleanCheck | None = None,
+    clean: CleanCheck | None = None,
 ):
     """Run one checksum-protected GEMM with the flips of plan (faulty_gemm).
 
@@ -252,16 +251,17 @@ def protect_gemm(
     profiles -> localization -> exact correction -> approximate correction
     (or ignore, per strategy). The report counts the candidate grid from the
     lengths of the flagged rows and columns; the grid itself is never built.
-    `clean` goes to faulty_gemm; it comes back itself only if there is no
-    plan and detection did not trigger, since correction copies. `check`,
-    when given, must be clean_check(A, B, clean): its checksums stand in for
-    precompute_checksums, and its MSD for detect while C is `clean` itself.
+    `clean`, when given, must be clean_check(A, B, gemm(A, B)): its output
+    goes to faulty_gemm, and comes back itself only if there is no plan and
+    detection did not trigger, since correction copies; its checksums stand
+    in for precompute_checksums, and its MSD for detect while C is its
+    output itself.
     """
-    checksums = precompute_checksums(A, B) if check is None else check.checksums
-    C = faulty_gemm(A, B, plan, record=record, clean=clean)
+    checksums = precompute_checksums(A, B) if clean is None else clean.checksums
+    C = faulty_gemm(A, B, plan, clean=None if clean is None else clean.output)
     det_thresholds = thresholds if strategy.detection == "AED" else STRICT
-    if check is not None and C is clean:
-        det = _judge(check.msd, det_thresholds, check.floor)
+    if clean is not None and C is clean.output:
+        det = _judge(clean.msd, det_thresholds, clean.floor)
     else:
         det = detect(C, checksums, det_thresholds)
     report = CorrectionReport()

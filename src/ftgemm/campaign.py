@@ -289,7 +289,11 @@ def _histogram(samples: list[float], bins: int = 20) -> dict:
     finite = [s for s in samples if math.isfinite(s)]
     if not finite:
         return {"edges": [], "counts": [], "nonfinite": len(samples)}
-    counts, edges = np.histogram(finite, bins=bins)
+    lo, hi = min(finite), max(finite)
+    if lo == hi:  # numpy widens this range by 0.5 each way, which rounds away past 2**52
+        half = max(0.5, 2 * bins * math.ulp(lo))
+        lo, hi = lo - half, hi + half
+    counts, edges = np.histogram(finite, bins=bins, range=(lo, hi))
     return {
         "edges": [float(e) for e in edges],
         "counts": [int(c) for c in counts],
@@ -329,7 +333,7 @@ def compute_stats(
     rc_samples: dict[str, list[float]] = {gid: [] for gid in selected}
     flagged = 0
     multi = 0
-    for node, msd, prof, rec in sample_deviations(model, inputs, ber, trials, seed):
+    for node, msd, prof, plan in sample_deviations(model, inputs, ber, trials, seed):
         if node.gemm_id in selected:
             msd_samples[node.gemm_id].append(msd)
             rc_samples[node.gemm_id].extend(
@@ -337,8 +341,9 @@ def compute_stats(
             )
         loc = localize(prof)
         flagged += len(loc.faulty_rows) + len(loc.faulty_cols)
-        multi += int((rec.error_cells[list(loc.faulty_rows)].sum(axis=1) > 1).sum())
-        multi += int((rec.error_cells[:, list(loc.faulty_cols)].sum(axis=0) > 1).sum())
+        if plan is not None:  # else no cell holds an error
+            multi += int((plan.cells[list(loc.faulty_rows)].sum(axis=1) > 1).sum())
+            multi += int((plan.cells[:, list(loc.faulty_cols)].sum(axis=0) > 1).sum())
 
     return StatsReport(
         ber=ber,

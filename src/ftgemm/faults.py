@@ -70,7 +70,8 @@ class RngStream:
 
 @dataclass
 class FaultRecord:
-    """Ground truth of one faulty GEMM: which output cells took any flip."""
+    """Ground truth of one faulty GEMM, filled by faulty_gemm(record=): which
+    output cells took any flip, and how many flips."""
 
     error_cells: np.ndarray | None = None  # bool mask, shape (m, n); may be read-only
     flips: int = 0

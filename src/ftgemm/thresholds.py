@@ -7,8 +7,8 @@ a greedy pass over the GEMMs (optionally in ascending order of GEMM size),
 holding the accuracy loss of each step under a budget. Accuracy evaluations
 reuse the same trial seeds (common random numbers) so feasibility checks are
 deterministic, and one search draws each fault stream once: its FaultConfig
-carries a draw memo. Searches run the held-out forwards in full, without
-the dataset's clean forwards (see _mean_accuracy).
+carries a draw memo. Like a campaign, a search reuses the clean values of
+the dataset's clean forwards (workload.forward).
 """
 
 from __future__ import annotations
@@ -109,16 +109,16 @@ def sample_deviations(model: Model, inputs, ber: float, trials: int, seed: int):
     """Checksum deviations of seeded, unprotected, faulty forwards.
 
     Trial t runs inputs[t % len(inputs)] as sample 0. Yields
-    (node, msd, SumProfiles, FaultRecord) for every GEMM node of every
-    trial, holding one trial's observations at a time.
+    (node, msd, SumProfiles, ReplayPlan or None for no flip) for every GEMM
+    node of every trial, holding one trial's observations at a time.
     """
     check_int("trials", trials, 1)
     cfg = FaultConfig(ber=ber, seed=seed)
     seen = []
 
-    def obs(node, A, B, C, rec):
+    def obs(node, A, B, C, plan):
         ck = precompute_checksums(A, B)
-        seen.append((node, detect(C, ck).msd, compute_sum_profiles(A, B, C, checksums=ck), rec))
+        seen.append((node, detect(C, ck).msd, compute_sum_profiles(A, B, C, checksums=ck), plan))
 
     for t in range(trials):
         forward(model, inputs[t % len(inputs)], cfg, trial=t, observer=obs)
@@ -197,13 +197,8 @@ def _mean_accuracy(
 ) -> float:
     strategy = strategy_from_name(cfg.strategy)
     thresholds = thresholds_from_assignment(profiles, assignment)
-    # The inputs alone, without clean values to reuse: a search replays the
-    # same few fault streams at every step, so reuse would set its time by
-    # which nodes those streams flip (1.07x to 1.5x faster over 16 seeds of
-    # a two-sample search) rather than by its size. Results are the same.
-    inputs_only = Dataset(dataset.inputs, dataset.labels)
     accs = [
-        evaluate(model, inputs_only, fault_cfg, strategy, thresholds, trial=t).accuracy
+        evaluate(model, dataset, fault_cfg, strategy, thresholds, trial=t).accuracy
         for t in range(cfg.trials_per_eval)
     ]
     return float(np.mean(accs))

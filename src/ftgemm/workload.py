@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .abft import STRICT, AbftStrategy, CleanCheck, ThresholdSet, clean_check, protect_gemm
-from .faults import FaultConfig, FaultRecord, RngStream, faulty_gemm, plan_streams
+from .faults import FaultConfig, RngStream, faulty_gemm, plan_streams
 from .tensor_core import ConfigError, GemmShape, OpCounter, check_int, gelu, gemm, layernorm_rows, softmax_rows
 
 
@@ -182,15 +182,17 @@ def forward(
     thresholds[gemm_id] (strict for every node when thresholds is None).
     `counter`, when given, is charged each node's m*k*n workload multiplies
     here and its ABFT operations in protect_gemm. `observer`, when given, is
-    called as observer(node, A, B, C, record) after each node. `values`,
-    when given, receives every named value ("input", model.weights' and
-    model.steps').
-    `clean`, with a cfg, is a clean forward of this model, used only if its
-    input is X itself. A value is clean when it is one of its arrays. A
-    step whose inputs are all clean takes its stored value: as its result,
-    or for a GEMM node as faulty_gemm's or protect_gemm's `clean`, with its
-    CleanCheck, which they return unless it draws a flip or detection
-    triggers.
+    called as observer(node, A, B, C, plan) after each node, with the plan
+    its GEMM replayed (None for no flip). `values`, when given, receives
+    every named value ("input", model.weights' and model.steps').
+    `clean`, when given, is a sample's clean forward. A value is clean when
+    it is the very array `clean` stores under its name, the input and the
+    weights included, so a forward of another input or model reuses nothing
+    that reads them. A step whose inputs are all clean takes its stored
+    value: as its result, or with a cfg, for a GEMM node, as faulty_gemm's
+    `clean` or in its CleanCheck as protect_gemm's, which they return unless
+    it draws a flip or detection triggers. A clean run (cfg None) computes
+    every GEMM node.
     With a cfg, this is the one place that turns it into flips: every node
     in cfg.scope (all without one) at cfg.ber > 0 is planned first, in one
     batch (faults.plan_streams), and each node's faulty_gemm or
@@ -204,8 +206,8 @@ def forward(
     env = {} if values is None else values
     env["input"] = X
     env.update(model.weights)
-    stored = clean.values if clean is not None and clean.values["input"] is X else None
-    same = {"input", *model.weights}  # with stored, the names whose value is its own array
+    stored = {} if clean is None else clean.values
+    same = {name for name, v in env.items() if stored.get(name) is v}  # each the very array stored under its name
     plans = {}
     if cfg is not None:
         # every node's stream, in scope or not: perfbench counts one RngStream per node per faulty forward
@@ -220,29 +222,26 @@ def forward(
         node = model.node_by_id[gemm_id]
         if counter is not None:
             counter.workload_mults += node.shape.macs
+        plan = plans.get(gemm_id)
+        # a faulty forward calls faulty_gemm or protect_gemm also without a plan: perfbench counts one per node
         if cfg is None:
             C = gemm(A, B)
-            rec = None
+        elif strategy is None:
+            C = faulty_gemm(A, B, plan, clean=C0)
         else:
-            # also without a plan: perfbench counts one faulty_gemm or protect_gemm per node
-            plan = plans.get(gemm_id)
-            rec = FaultRecord() if observer is not None else None
-            if strategy is None:
-                C = faulty_gemm(A, B, plan, record=rec, clean=C0)
-            else:
-                ts = STRICT if thresholds is None else thresholds[gemm_id]
-                check = None if C0 is None else clean.check(gemm_id, A, B)
-                C, det, corr = protect_gemm(A, B, plan, strategy, ts, counter, record=rec, clean=C0, check=check)
-                reports[gemm_id] = (det, corr)
+            ts = STRICT if thresholds is None else thresholds[gemm_id]
+            check = None if C0 is None else clean.check(gemm_id, A, B)
+            C, det, corr = protect_gemm(A, B, plan, strategy, ts, counter, check)
+            reports[gemm_id] = (det, corr)
         if observer is not None:
-            observer(node, A, B, C, rec)
+            observer(node, A, B, C, plan)
         return C
 
     # Injected faults legitimately produce overflow/NaN; let them propagate
     # silently instead of warning on every arithmetic op.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for name, fn, inputs, gather in model.steps:
-            C0 = stored[name] if stored is not None and same.issuperset(inputs) else None
+            C0 = stored[name] if same.issuperset(inputs) else None
             if fn is None:
                 C = run(name, C0, *gather(env))
             elif C0 is None:
@@ -259,10 +258,7 @@ def forward(
 class Dataset:
     inputs: list
     labels: list
-    # Per sample, its clean forward or None, and the model that ran them;
-    # evaluate reuses them on that model only, for the inputs they ran on
-    clean_forwards: list[CleanForward | None] | None = None
-    clean_model: Model | None = field(default=None, compare=False, repr=False)
+    clean_forwards: list[CleanForward | None] | None = None  # per sample, its clean forward or None
 
 
 # Bound on the clean forwards a dataset keeps, in bytes, give or take one
@@ -294,7 +290,7 @@ def generate_dataset(model: Model, n_samples: int, data_seed: int) -> Dataset:
             v.setflags(write=False)  # every faulty forward of x reads it
         kept += sum(values[step.name].nbytes for step in model.steps) + checksums
         clean_forwards.append(CleanForward(values))
-    return Dataset(inputs, labels, clean_forwards, model)
+    return Dataset(inputs, labels, clean_forwards)
 
 
 @dataclass
@@ -317,12 +313,10 @@ def evaluate(
 ) -> EvalStats:
     stats = EvalStats(accuracy=0.0)
     correct = 0
-    # a clean run (cfg None) still runs every GEMM
-    reuse = cfg is not None and dataset.clean_forwards is not None and dataset.clean_model is model
     for idx, (x, label) in enumerate(zip(dataset.inputs, dataset.labels)):
         logits, reports = forward(
             model, x, cfg, strategy, thresholds, counter, trial=trial, sample=idx,
-            clean=dataset.clean_forwards[idx] if reuse else None,
+            clean=None if dataset.clean_forwards is None else dataset.clean_forwards[idx],
         )
         if int(np.argmax(logits)) == label:
             correct += 1

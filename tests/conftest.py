@@ -65,6 +65,12 @@ def plan_arrays(plan):
             yield from plan_arrays(value)
 
 
+def plan_cells(plan, C):
+    """(error cells, flips) of the plan a forward's observer sees with a GEMM
+    node's output C: none for a None plan."""
+    return (np.zeros(C.shape, dtype=bool), 0) if plan is None else (plan.cells, plan.flips)
+
+
 def plan_for(A, B, cfg, stream):
     """The plan of stream for an A x B GEMM at cfg.ber, as forward hands it
     to faulty_gemm: plan_streams(cfg, [(stream, m, n, k)])[0]."""

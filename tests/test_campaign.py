@@ -1,11 +1,13 @@
 import json
+import math
 import pickle
 
 import numpy as np
 import pytest
 
+from conftest import dense_faulty_gemm
 from ftgemm import campaign
-from ftgemm.abft import STRATEGY_PRESETS, strategy_from_name
+from ftgemm.abft import STRATEGY_PRESETS, compute_sum_profiles, localize, precompute_checksums, strategy_from_name
 from ftgemm.campaign import (
     CampaignConfig,
     ConfigError,
@@ -19,9 +21,9 @@ from ftgemm.campaign import (
     run_campaign,
     select_gemms,
 )
-from ftgemm.faults import FaultConfig
+from ftgemm.faults import FaultConfig, RngStream
 from ftgemm.thresholds import AlphaAssignment, DeviationProfile, SearchConfig, profile_all
-from ftgemm.workload import ModelConfig, build_model, generate_dataset
+from ftgemm.workload import ModelConfig, build_model, forward, generate_dataset
 
 
 def make_config(**overrides):
@@ -178,7 +180,9 @@ def test_pool_workers_generate_read_only_clean_outputs(pool_sizes, monkeypatch):
         assert run_campaign(config, workers=2) == run_campaign(config, workers=1)
     assert pool_sizes == [2, 2] and len(sent[0]) == len(sent[1])
     ctx = campaign._WORKER_CTX
-    assert ctx.dataset.clean_model is ctx.model
+    # the worker's clean forwards store its own model's weights, so its forwards reuse them
+    assert all(clean.values[name] is weight for clean in ctx.dataset.clean_forwards
+               for name, weight in ctx.model.weights.items())
     arrays = _clean_arrays(ctx.dataset)
     assert len(arrays) == 6 * (1 + len(ctx.model.weights) + len(ctx.model.steps))  # every named value
     assert not any(C.flags.writeable for C in arrays)
@@ -337,6 +341,35 @@ class TestStats:
         assert select_gemms(default_model, ["classifier"]) == ["classifier"]
         with pytest.raises(ConfigError):
             select_gemms(default_model, ["nope"])
+
+    def test_counts_match_the_true_error_cells(self, default_model, small_dataset):
+        # flagged rows and columns, and those of them holding more than one
+        # error cell, recounted from the step-by-step injector's cells on
+        # each node's operands
+        ber, trials, seed = 1e-4, 3, 5
+        rep = compute_stats(default_model, small_dataset.inputs, ber, trials, seed)
+        flagged = multi = 0
+        for t in range(trials):
+            seen = []
+            forward(default_model, small_dataset.inputs[t], FaultConfig(ber, seed), trial=t,
+                    observer=lambda node, A, B, C, plan: seen.append((node.gemm_id, A, B, C)))
+            for gemm_id, A, B, C in seen:
+                _, cells, _ = dense_faulty_gemm(A, B, FaultConfig(ber, seed), RngStream(seed, gemm_id, t))
+                loc = localize(compute_sum_profiles(A, B, C, checksums=precompute_checksums(A, B)))
+                flagged += len(loc.faulty_rows) + len(loc.faulty_cols)
+                multi += int((cells[list(loc.faulty_rows)].sum(axis=1) > 1).sum())
+                multi += int((cells[:, list(loc.faulty_cols)].sum(axis=0) > 1).sum())
+        assert (rep.flagged_rows_cols, rep.multi_error_rows_cols) == (flagged, multi)
+        assert 0 < multi < flagged
+
+    def test_histogram_of_equal_samples(self):
+        # numpy's own range for equal samples, x -+ 0.5, at any magnitude
+        # where it holds 20 distinct edges; past that the range widens
+        small = campaign._histogram([0.25, 0.25, math.inf])
+        counts, edges = np.histogram([0.25, 0.25], bins=20)
+        assert small == {"edges": edges.tolist(), "counts": counts.tolist(), "nonfinite": 1}
+        big = campaign._histogram([1.0900287480468045e+31])
+        assert sum(big["counts"]) == 1 and len(set(big["edges"])) == 21
 
     def test_single_error_not_multi(self, default_model, small_dataset):
         # scope to one tiny GEMM and hunt a trial with exactly one error cell

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import NoGen, dense_faulty_gemm, inject_single, plan_arrays, plan_for
+from conftest import NoGen, dense_faulty_gemm, inject_single, plan_arrays, plan_cells, plan_for
 from ftgemm import faults
 from ftgemm.faults import (
     FaultConfig,
@@ -245,8 +245,8 @@ def test_fault_config_validation_and_scope(default_model, small_dataset):
     scope = frozenset(node.gemm_id for node in default_model.nodes[::3])
     seen = {}
 
-    def observe(node, A, B, C, rec):
-        seen[node.gemm_id] = (rec.flips, C.view(np.uint32).copy(), gemm(A, B).view(np.uint32))
+    def observe(node, A, B, C, plan):
+        seen[node.gemm_id] = (plan_cells(plan, C)[1], C.view(np.uint32).copy(), gemm(A, B).view(np.uint32))
 
     forward(default_model, small_dataset.inputs[0], FaultConfig(1e-4, 7, scope=scope), observer=observe)
     assert len(seen) == len(default_model.nodes) > len(scope)

@@ -1,6 +1,8 @@
 """The benchmark's recorded outputs, checked by the test suite: case 0 of every
 perfbench workload must reproduce its reference lines exactly, also under the
-perfbench tracer, whose call counts must agree with those outputs."""
+perfbench tracer, whose call counts must agree with those outputs, and so must
+every other case of the search workload, whose reuse of clean values depends
+on where each case's fault streams flip."""
 
 import importlib.util
 import sys
@@ -29,6 +31,14 @@ def test_case_0_matches_reference(name, tmp_path):
     spec = workloads.WORKLOADS[name]
     rep = spec.run(ftgemm, workloads.case_for_seed(0), tmp_path)
     attempted, failed = spec.check(rep, workloads.load_reference(name)[0])
+    assert attempted > 0 and failed == 0
+
+
+@pytest.mark.parametrize("case", range(1, workloads.NCASES))
+def test_search_case_matches_reference(case, tmp_path):
+    spec = workloads.WORKLOADS["search"]
+    rep = spec.run(ftgemm, workloads.case_for_seed(case), tmp_path)
+    attempted, failed = spec.check(rep, workloads.load_reference("search")[case])
     assert attempted > 0 and failed == 0
 
 

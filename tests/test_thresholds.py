@@ -187,25 +187,30 @@ class TestSearches:
         a2 = greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
         assert a1.alphas == a2.alphas
 
-    def test_searches_run_forwards_without_clean_outputs(
+    def test_searches_reuse_each_samples_clean_forward(
         self, monkeypatch, default_model, small_dataset, search_setup
     ):
-        # a search's time must not hinge on where its few streams first flip
+        # both searches hand forward each sample's clean forward, and find
+        # what they find on the inputs alone
         profiles, _ = search_setup
         cfg = SearchConfig(accuracy_budget=0.01, trials_per_eval=1, ber=1e-6,
                            resolution=0.5, strategy="opt")
-        assert small_dataset.clean_forwards is not None
+        inputs_only = workload.Dataset(small_dataset.inputs, small_dataset.labels)
         passed = []
         full_forward = workload.forward
 
-        def spy(*args, clean=None, **kwargs):
-            passed.append(clean)
-            return full_forward(*args, clean=clean, **kwargs)
+        def spy(*args, clean=None, sample=0, **kwargs):
+            passed.append((sample, clean))
+            return full_forward(*args, clean=clean, sample=sample, **kwargs)
 
         monkeypatch.setattr(workload, "forward", spy)
-        binary_search_global_alpha(default_model, small_dataset, cfg, profiles, 9)
-        greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
-        assert passed and all(clean is None for clean in passed)
+        alpha = binary_search_global_alpha(default_model, small_dataset, cfg, profiles, 9)
+        greedy = greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
+        assert passed and all(clean is small_dataset.clean_forwards[i] for i, clean in passed)
+        passed.clear()
+        assert alpha == binary_search_global_alpha(default_model, inputs_only, cfg, profiles, 9)
+        assert greedy.alphas == greedy_gemmwise_search(default_model, inputs_only, cfg, profiles, 9).alphas
+        assert passed and all(clean is None for _, clean in passed)
 
     def test_search_config_validation(self):
         with pytest.raises(ValueError):

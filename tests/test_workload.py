@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import NoGen, plan_arrays, plan_for
+from conftest import NoGen, plan_arrays, plan_cells, plan_for
 from ftgemm.faults import FaultConfig, FaultRecord, RngStream, faulty_gemm
 from ftgemm.abft import ThresholdSet, protect_gemm, strategy_from_name
 from ftgemm import abft, workload
@@ -192,8 +192,8 @@ def test_shared_draw_memo_forward_bits_and_records(default_model, small_dataset)
     def run(cfg, strategy):
         seen = {}
 
-        def observe(node, A, B, C, rec):
-            seen[node.gemm_id] = (rec.error_cells.copy(), rec.flips)
+        def observe(node, A, B, C, plan):
+            seen[node.gemm_id] = plan_cells(plan, C)
 
         logits, _ = forward(default_model, x, cfg, strategy, trial=3, sample=5, observer=observe)
         return logits.view(np.uint32).copy(), seen
@@ -261,8 +261,8 @@ def test_a_forwards_batch_plans_what_each_node_plans_alone(default_model, small_
     seen = []
     cfg = FaultConfig(1e-4, 51, scope=frozenset(n.gemm_id for n in default_model.nodes[:-1]))
 
-    def observe(node, A, B, C, rec):
-        seen.append((node.gemm_id, A, B, C.view(np.uint32).copy(), rec.error_cells.copy(), rec.flips))
+    def observe(node, A, B, C, plan):
+        seen.append((node.gemm_id, A, B, C.view(np.uint32).copy(), *plan_cells(plan, C)))
 
     forward(default_model, small_dataset.inputs[3], cfg, trial=4, sample=3, observer=observe)
     assert len(seen) == len(default_model.nodes) and sum(flips > 0 for *_, flips in seen) > 10
@@ -290,8 +290,8 @@ def test_a_forwards_memoized_plans_are_read_only(default_model, small_dataset):
 
 def _run_full_and_reused(model, data, cfg, strategy, thresholds):
     """(EvalStats, OpCounter, and per sample its logits bits, every named
-    value's bits, per-node FaultRecords and per-node reports, detection
-    floats as bits), for data as given and for the same data without its
+    value's bits, per-node error cells and flips, and per-node reports,
+    detection floats as bits), for data as given and for the same data without its
     clean forwards; and per forward of data that has a clean forward, for
     each GEMM node in order, whether it returned the stored output itself."""
     full = Dataset(data.inputs, data.labels)
@@ -304,8 +304,9 @@ def _run_full_and_reused(model, data, cfg, strategy, thresholds):
             records, values, hits = {}, {}, []
             clean = None if dataset.clean_forwards is None else dataset.clean_forwards[idx]
 
-            def observe(node, A, B, C, rec):
-                records[node.gemm_id] = (rec.error_cells.tobytes(), rec.flips)
+            def observe(node, A, B, C, plan):
+                cells, flips = plan_cells(plan, C)
+                records[node.gemm_id] = (cells.tobytes(), flips)
                 hits.append(clean is not None and C is clean.values[node.gemm_id])
 
             logits, reports = forward(model, x, cfg, strategy, thresholds, trial=1, sample=idx,
@@ -354,8 +355,7 @@ def test_reused_clean_outputs_match_the_full_forward(default_model, small_datase
     # the same forward gives without them, for every strategy, every named
     # value included, and reuses exactly the nodes no flip reaches
     n = 4
-    data = Dataset(small_dataset.inputs[:n], small_dataset.labels[:n], small_dataset.clean_forwards[:n],
-                   default_model)
+    data = Dataset(small_dataset.inputs[:n], small_dataset.labels[:n], small_dataset.clean_forwards[:n])
     relaxed = {node.gemm_id: ThresholdSet(1e-2, 1e-3, 1e-3) for node in default_model.nodes}
     for name in MEMO_STRATEGIES:
         strategy = strategy_from_name(name)
@@ -414,11 +414,25 @@ def test_clean_outputs_are_reused_on_their_model_only(default_model, small_datas
         assert stats.accuracy < 1.0
 
 
+def test_another_model_reuses_no_value_that_reads_a_weight():
+    # another model's weights are not the arrays the clean forwards store,
+    # so no GEMM node returns a stored output, and every value, the logits
+    # and the counts are those of the same inputs without clean forwards
+    data = generate_dataset(build_model(ModelConfig(weight_seed=0)), 4, data_seed=23)
+    other = build_model(ModelConfig(weight_seed=1))
+    for ber in (0.0, 1e-8):
+        for name in ("none", "baseline"):
+            cfg = FaultConfig(ber, 43, memo={})
+            (reused, full), hits = _run_full_and_reused(other, data, cfg, strategy_from_name(name), None)
+            assert reused == full
+            assert len(hits) == 4 and not any(map(any, hits))
+
+
 def test_clean_forwards_are_reused_for_their_own_inputs_only(default_model, small_dataset):
     # clean forwards paired with other inputs: each forward tests its input
     # by identity, finds it is not the clean forward's, and runs in full
     other = generate_dataset(default_model, 4, data_seed=29)
-    swapped = Dataset(other.inputs, other.labels, small_dataset.clean_forwards[:4], default_model)
+    swapped = Dataset(other.inputs, other.labels, small_dataset.clean_forwards[:4])
     full = Dataset(other.inputs, other.labels)
     for cfg in (FaultConfig(0.0, 3), FaultConfig(1e-8, 3)):
         for name in ("none", "baseline"):
