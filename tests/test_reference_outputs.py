@@ -1,8 +1,8 @@
 """The benchmark's recorded outputs, checked by the test suite: case 0 of every
 perfbench workload must reproduce its reference lines exactly, also under the
 perfbench tracer, whose call counts must agree with those outputs, and so must
-every other case of the search workload, whose reuse of clean values depends
-on where each case's fault streams flip."""
+every other case of the search workload, whose alphas depend on where each
+case's fault streams flip."""
 
 import importlib.util
 import sys
