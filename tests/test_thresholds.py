@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from ftgemm import thresholds as thresholds_mod
 from ftgemm import workload
 from ftgemm.abft import REL_EPS
 from ftgemm.thresholds import (
@@ -154,6 +155,37 @@ def search_setup(default_model, small_dataset):
     return profiles, cfg
 
 
+def spy_evaluate(monkeypatch):
+    """Record (the thresholds, trial) of every evaluate call a search makes."""
+    calls = []
+    real = thresholds_mod.evaluate
+
+    def spy(model, dataset, cfg, strategy, thresholds, trial):
+        calls.append((tuple(thresholds.items()), trial))
+        return real(model, dataset, cfg, strategy, thresholds, trial=trial)
+
+    monkeypatch.setattr(thresholds_mod, "evaluate", spy)
+    return calls
+
+
+def greedy_visits(monkeypatch, model, dataset, profiles, order):
+    """The GEMMs a greedy search relaxes, in the order its evaluations do."""
+    cfg = SearchConfig(accuracy_budget=1.0, trials_per_eval=1, ber=1e-6,
+                       resolution=0.5, order=order, strategy="opt")
+    calls = spy_evaluate(monkeypatch)
+    # budget 1.0 makes every step trivially feasible -> all alphas 1, and
+    # each new evaluation relaxes exactly the GEMM being visited
+    assignment = greedy_gemmwise_search(model, dataset, cfg, profiles, 9)
+    assert all(pair == (1.0, 1.0) for pair in assignment.alphas.values())
+    seen = [dict(key) for key, _ in calls]
+    visited = []
+    for prev, cur in zip(seen, seen[1:]):
+        changed = [gid for gid in cur if cur[gid] != prev[gid]]
+        assert len(changed) == 1
+        visited += changed
+    return visited
+
+
 class TestSearches:
     def test_global_search_deterministic(self, default_model, small_dataset, search_setup):
         profiles, cfg = search_setup
@@ -168,18 +200,18 @@ class TestSearches:
         alpha, ok = binary_search_global_alpha(default_model, small_dataset, cfg, profiles, 9)
         assert alpha == 1.0 and ok
 
-    def test_greedy_visits_ascending_sizes(self, default_model, small_dataset, search_setup):
-        profiles, _ = search_setup
-        visited = []
-        cfg = SearchConfig(accuracy_budget=1.0, trials_per_eval=1, ber=1e-6,
-                           resolution=0.5, order="ascending_size", strategy="opt")
-        # budget 1.0 makes every step trivially feasible -> all alphas 1
-        assignment = greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
-        assert all(pair == (1.0, 1.0) for pair in assignment.alphas.values())
-        sizes = [default_model.node_by_id[g].shape.macs for g in assignment.alphas]
-        # classifier (320 macs) is the smallest node and must sort first
-        order = sorted(default_model.nodes, key=lambda n: (n.shape.macs, 0))
-        assert order[0].gemm_id == "classifier"
+    def test_greedy_visits_ascending_sizes(self, monkeypatch, default_model, small_dataset, search_setup):
+        # a stable sort: equal sizes keep model order
+        expected = [n.gemm_id for n in sorted(default_model.nodes, key=lambda n: n.shape.macs)]
+        # classifier (320 macs) is the smallest node and must come first
+        assert expected[0] == "classifier"
+        visited = greedy_visits(monkeypatch, default_model, small_dataset, search_setup[0], "ascending_size")
+        assert visited == expected
+
+    def test_greedy_visits_inorder(self, monkeypatch, default_model, small_dataset, search_setup):
+        expected = [n.gemm_id for n in default_model.nodes]
+        visited = greedy_visits(monkeypatch, default_model, small_dataset, search_setup[0], "inorder")
+        assert visited == expected
 
     def test_greedy_deterministic(self, default_model, small_dataset, search_setup):
         profiles, cfg = search_setup
@@ -210,6 +242,52 @@ class TestSearches:
         assert passed and all(clean is None for clean in passed)
         assert alpha == binary_search_global_alpha(default_model, inputs_only, cfg, profiles, 9)
         assert greedy.alphas == greedy_gemmwise_search(default_model, inputs_only, cfg, profiles, 9).alphas
+
+    @pytest.mark.parametrize(
+        "budget, resolution, greedy_calls, global_calls, strict, global_alpha",
+        [
+            (1.0, 0.5, 22, 1, set(), (1.0, True)),
+            (0.01, 0.25, 26, 4, {"layer1.attn.v", "layer1.ff.out"}, (0.0, True)),
+        ],
+    )
+    def test_searches_score_each_threshold_set_once(
+        self, monkeypatch, default_model, small_dataset, search_setup,
+        budget, resolution, greedy_calls, global_calls, strict, global_alpha,
+    ):
+        # without the score memo the greedy search made 42 and 48 calls
+        profiles, _ = search_setup
+        cfg = SearchConfig(accuracy_budget=budget, trials_per_eval=1, ber=1e-6,
+                           resolution=resolution, strategy="opt")
+        calls = spy_evaluate(monkeypatch)
+        greedy = greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
+        assert len(calls) == len(set(calls)) == greedy_calls
+        calls.clear()
+        alpha = binary_search_global_alpha(default_model, small_dataset, cfg, profiles, 9)
+        assert len(calls) == len(set(calls)) == global_calls
+        # the alphas the searches found without the memo
+        assert greedy.alphas == {
+            n.gemm_id: (0.0, 0.0) if n.gemm_id in strict else (1.0, 1.0) for n in default_model.nodes
+        }
+        assert alpha == global_alpha
+
+    def test_score_memo_keys_on_thresholds(self, monkeypatch, default_model, small_dataset):
+        # flat profiles clamp every alpha to the REL_EPS floor: one threshold set
+        profiles = {n.gemm_id: DeviationProfile(0.0, 0.0, 0.0, 0.0, 1) for n in default_model.nodes}
+        cfg = SearchConfig(accuracy_budget=0.01, trials_per_eval=2, ber=1e-6,
+                           resolution=0.25, strategy="opt")
+        calls = spy_evaluate(monkeypatch)
+        greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
+        assert [trial for _, trial in calls] == [0, 1]
+        assert all(ts.detect_threshold == REL_EPS for ts in dict(calls[0][0]).values())
+
+    def test_zero_budget_without_faults(self, default_model, small_dataset, search_setup):
+        # at BER 0 nothing is lost, and a loss of zero is within a zero budget
+        profiles, _ = search_setup
+        cfg = SearchConfig(accuracy_budget=0.0, trials_per_eval=1, ber=0.0,
+                           resolution=0.5, strategy="opt")
+        assert binary_search_global_alpha(default_model, small_dataset, cfg, profiles, 9) == (1.0, True)
+        greedy = greedy_gemmwise_search(default_model, small_dataset, cfg, profiles, 9)
+        assert all(pair == (1.0, 1.0) for pair in greedy.alphas.values())
 
     def test_search_config_validation(self):
         with pytest.raises(ValueError):
