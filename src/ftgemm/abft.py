@@ -117,8 +117,8 @@ class SumProfiles:
 
 @dataclass
 class Localization:
-    faulty_rows: tuple  # ascending Python ints
-    faulty_cols: tuple
+    faulty_rows: np.ndarray  # ascending intp indices
+    faulty_cols: np.ndarray
 
 
 @dataclass
@@ -178,10 +178,7 @@ def localize(profiles: SumProfiles, thresholds: ThresholdSet = STRICT) -> Locali
     col_thr = np.maximum(thresholds.col_threshold, fp_floor(profiles.col_scale))
     bad_rows = (~np.isfinite(profiles.rsd)) | (np.abs(profiles.rsd) > row_thr)
     bad_cols = (~np.isfinite(profiles.csd)) | (np.abs(profiles.csd) > col_thr)
-    return Localization(
-        faulty_rows=tuple(np.flatnonzero(bad_rows).tolist()),
-        faulty_cols=tuple(np.flatnonzero(bad_cols).tolist()),
-    )
+    return Localization(np.flatnonzero(bad_rows), np.flatnonzero(bad_cols))
 
 
 def correct_exact(C, localization: Localization, profiles: SumProfiles):
@@ -196,8 +193,7 @@ def correct_exact(C, localization: Localization, profiles: SumProfiles):
     the row-major order of the faulty_rows x faulty_cols candidate grid.
     """
     C2 = as_matrix(C).copy()
-    rows = np.array(localization.faulty_rows, dtype=np.intp)
-    cols = np.array(localization.faulty_cols, dtype=np.intp)
+    rows, cols = localization.faulty_rows, localization.faulty_cols
     r = np.repeat(rows, cols.size)  # the candidate grid, row-major
     c = np.tile(cols, rows.size)
     if cols.size == 1:
@@ -270,7 +266,7 @@ def protect_gemm(
         loc = localize(profiles, thresholds if strategy.localization == "AEL" else STRICT)
         C, residual = correct_exact(C, loc, profiles)
         left = residual[0].size
-        report.exact_corrected = len(loc.faulty_rows) * len(loc.faulty_cols) - left
+        report.exact_corrected = loc.faulty_rows.size * loc.faulty_cols.size - left
         if strategy.correction == "BEC":
             report.ignored = left
         else:

@@ -117,8 +117,13 @@ def config_from_dict(raw: dict) -> CampaignConfig:
         profiles = abft_sec.get("profiles")
         alphas = abft_sec.get("alphas")
         if isinstance(alphas, dict):
-            alphas = AlphaAssignment.from_dict(alphas)
+            alphas = AlphaAssignment(alphas)
         scope = faults_sec.get("scope")
+        lists = {"faults.bers": faults_sec.get("bers"), "faults.scope": scope,
+                 "abft.strategies": abft_sec.get("strategies")}
+        for where, value in lists.items():
+            if isinstance(value, str):  # else iterated as its characters
+                raise ConfigError(f"{where} must be a list, got {value!r}")
         return CampaignConfig(
             model=ModelConfig(**model_sec),
             n_samples=data_sec.get("n_samples", 100),
@@ -340,10 +345,10 @@ def compute_stats(
                 float(v) for v in np.abs(np.concatenate([prof.rsd, prof.csd]))
             )
         loc = localize(prof)
-        flagged += len(loc.faulty_rows) + len(loc.faulty_cols)
+        flagged += loc.faulty_rows.size + loc.faulty_cols.size
         if plan is not None:  # else no cell holds an error
-            multi += int((plan.cells[list(loc.faulty_rows)].sum(axis=1) > 1).sum())
-            multi += int((plan.cells[:, list(loc.faulty_cols)].sum(axis=0) > 1).sum())
+            multi += int((plan.cells[loc.faulty_rows].sum(axis=1) > 1).sum())
+            multi += int((plan.cells[:, loc.faulty_cols].sum(axis=0) > 1).sum())
 
     return StatsReport(
         ber=ber,

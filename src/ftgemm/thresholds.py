@@ -7,8 +7,8 @@ a greedy pass over the GEMMs (optionally in ascending order of GEMM size),
 holding the accuracy loss of each step to at most a budget. Evaluations
 reuse the same trial seeds (common random numbers), so one search draws each
 fault stream once (its FaultConfig's draw memo) and scores each distinct
-threshold set once (see _mean_accuracy), running the held-out forwards in
-full, without the dataset's clean forwards.
+threshold set once (see _scorer), running the held-out forwards in full,
+without the dataset's clean forwards.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class AlphaAssignment:
 
     def to_dict(self):
         return {gid: list(pair) for gid, pair in self.alphas.items()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d)
 
     def save(self, path):
         with open(path, "w") as f:
@@ -187,32 +183,37 @@ def bisect_max_feasible(feasible, resolution: float):
     return lo, True
 
 
-def _mean_accuracy(
+def _scorer(
     model: Model,
     dataset: Dataset,
     profiles: dict[str, DeviationProfile],
-    assignment: AlphaAssignment,
     cfg: SearchConfig,
-    fault_cfg: FaultConfig,
-    scores: dict,
-) -> float:
-    """Mean accuracy over the trials, scored once per distinct threshold set:
-    scores, one search's memo, is keyed by the thresholds evaluate sees, not
-    by the alphas, which can clamp to the same set."""
-    thresholds = thresholds_from_assignment(profiles, assignment)
-    key = tuple(thresholds.items())
-    if key not in scores:
-        strategy = strategy_from_name(cfg.strategy)
-        # The inputs alone: a search replays the same few fault streams at every
-        # step, so reusing clean values would set its time by where they flip
-        # (1.2x to 2.6x over 10 seeds), not by its size. Results are the same.
-        inputs_only = Dataset(dataset.inputs, dataset.labels)
-        accs = [
-            evaluate(model, inputs_only, fault_cfg, strategy, thresholds, trial=t).accuracy
-            for t in range(cfg.trials_per_eval)
-        ]
-        scores[key] = float(np.mean(accs))
-    return scores[key]
+    base_seed: int,
+):
+    """One search's score(assignment), the mean accuracy over the trials. It
+    replays the same fault streams at every call and scores each distinct
+    threshold set once: keyed by the thresholds evaluate sees, not by the
+    alphas, which can clamp to the same set."""
+    strategy = strategy_from_name(cfg.strategy)
+    fault_cfg = FaultConfig(ber=cfg.ber, seed=base_seed, memo={})
+    # The inputs alone: a search replays the same few fault streams at every
+    # step, so reusing clean values would set its time by where they flip
+    # (1.2x to 2.6x over 10 seeds), not by its size. Results are the same.
+    inputs_only = Dataset(dataset.inputs, dataset.labels)
+    scores = {}
+
+    def score(assignment: AlphaAssignment) -> float:
+        thresholds = thresholds_from_assignment(profiles, assignment)
+        key = tuple(thresholds.items())
+        if key not in scores:
+            accs = [
+                evaluate(model, inputs_only, fault_cfg, strategy, thresholds, trial=t).accuracy
+                for t in range(cfg.trials_per_eval)
+            ]
+            scores[key] = float(np.mean(accs))
+        return scores[key]
+
+    return score
 
 
 def binary_search_global_alpha(
@@ -224,16 +225,10 @@ def binary_search_global_alpha(
 ):
     """Largest single alpha, shared by every GEMM, whose mean accuracy loss
     against the clean accuracy (1.0 on a self-labelled dataset) is at most
-    the budget, scoring each distinct threshold set once. Returns (alpha, feasible)."""
+    the budget. Returns (alpha, feasible)."""
+    score = _scorer(model, dataset, profiles, cfg, base_seed)
     gemm_ids = [n.gemm_id for n in model.nodes]
-    target = 1.0 - cfg.accuracy_budget
-    fault_cfg = FaultConfig(ber=cfg.ber, seed=base_seed, memo={})  # every alpha replays its streams
-    scores = {}
-
-    def feasible(alpha):
-        assignment = AlphaAssignment.uniform(gemm_ids, alpha)
-        return _mean_accuracy(model, dataset, profiles, assignment, cfg, fault_cfg, scores) >= target
-
+    feasible = lambda a: score(AlphaAssignment.uniform(gemm_ids, a)) >= 1.0 - cfg.accuracy_budget  # noqa: E731
     return bisect_max_feasible(feasible, cfg.resolution)
 
 
@@ -246,25 +241,22 @@ def greedy_gemmwise_search(
 ) -> AlphaAssignment:
     """Per-GEMM alphas: visit GEMMs (ascending m*k*n or topological order),
     maximize each GEMM's alpha while that step's accuracy loss is at most
-    the budget; unvisited GEMMs stay fully protected (alpha 0). Each distinct
-    threshold set is scored once, so after the first step a step's reference
-    is the score of the assignment its previous step accepted."""
-    nodes = list(model.nodes)
+    the budget; unvisited GEMMs stay fully protected (alpha 0). The alphas
+    keep model order whatever the visit order. Each distinct threshold set
+    is scored once, so after the first step a step's reference is the score
+    of the assignment its previous step accepted."""
+    score = _scorer(model, dataset, profiles, cfg, base_seed)
+    assignment = AlphaAssignment({n.gemm_id: (0.0, 0.0) for n in model.nodes})
+    nodes = model.nodes
     if cfg.order == "ascending_size":
-        order = sorted(range(len(nodes)), key=lambda i: (nodes[i].shape.macs, i))
-    else:
-        order = list(range(len(nodes)))
-    assignment = AlphaAssignment({n.gemm_id: (0.0, 0.0) for n in nodes})
-    fault_cfg = FaultConfig(ber=cfg.ber, seed=base_seed, memo={})  # every step replays its streams
-    scores = {}
-    for i in order:
-        gid = nodes[i].gemm_id
-        reference = _mean_accuracy(model, dataset, profiles, assignment, cfg, fault_cfg, scores)
+        nodes = sorted(nodes, key=lambda n: n.shape.macs)  # stable: ties keep model order
+    for node in nodes:
+        gid = node.gemm_id
+        reference = score(assignment)
 
         def feasible(alpha):
             assignment.alphas[gid] = (alpha, alpha)
-            acc = _mean_accuracy(model, dataset, profiles, assignment, cfg, fault_cfg, scores)
-            return reference - acc <= cfg.accuracy_budget
+            return reference - score(assignment) <= cfg.accuracy_budget
 
         best, _ = bisect_max_feasible(feasible, cfg.resolution)
         assignment.alphas[gid] = (best, best)

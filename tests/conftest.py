@@ -136,7 +136,7 @@ def residual_cells(residual):
 
 def candidates(loc):
     """The faulty_rows x faulty_cols candidate grid of a localization, row-major."""
-    return tuple((r, c) for r in loc.faulty_rows for c in loc.faulty_cols)
+    return tuple((int(r), int(c)) for r in loc.faulty_rows for c in loc.faulty_cols)
 
 
 def localize_oracle(profiles, thresholds=abft.STRICT):

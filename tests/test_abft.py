@@ -116,8 +116,8 @@ class TestLocalize:
     def test_single_fault(self, small_product):
         A, B, C = small_product
         _, _, prof, loc = _pipeline(A, B, inject_single(C, 0, 1, 8.0))
-        assert loc.faulty_rows == (0,)
-        assert loc.faulty_cols == (1,)
+        np.testing.assert_array_equal(loc.faulty_rows, [0])
+        np.testing.assert_array_equal(loc.faulty_cols, [1])
         assert candidates(loc) == ((0, 1),)
 
     def test_l_shape_has_false_positive(self):
@@ -128,7 +128,8 @@ class TestLocalize:
         for (r, c), d in zip([(0, 0), (0, 1), (1, 0)], [5.0, 3.0, 2.0]):
             C = inject_single(C, r, c, d)
         _, _, prof, loc = _pipeline(A, B, C)
-        assert loc.faulty_rows == (0, 1) and loc.faulty_cols == (0, 1)
+        np.testing.assert_array_equal(loc.faulty_rows, [0, 1])
+        np.testing.assert_array_equal(loc.faulty_cols, [0, 1])
         assert set(candidates(loc)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_raised_thresholds_empty(self, small_product):
@@ -161,7 +162,8 @@ class TestCorrectExact:
         clean = gemm(A, B)
         faulty = inject_single(inject_single(clean, 0, 0, 5.0), 0, 1, 3.0)
         _, _, prof, loc = _pipeline(A, B, faulty)
-        assert loc.faulty_rows == (0,) and set(loc.faulty_cols) == {0, 1}
+        np.testing.assert_array_equal(loc.faulty_rows, [0])
+        np.testing.assert_array_equal(loc.faulty_cols, [0, 1])
         fixed, residual = correct_exact(faulty, loc, prof)
         assert residual_cells(residual) == []
         np.testing.assert_allclose(fixed, clean, atol=1e-3)
@@ -241,9 +243,10 @@ def _recover_like_oracle(C, prof, thresholds):
     with np.errstate(all="ignore"):
         loc = localize(prof, thresholds)
         want = localize_oracle(prof, thresholds)
-        assert (loc.faulty_rows, loc.faulty_cols) == (want.faulty_rows, want.faulty_cols)
+        np.testing.assert_array_equal(loc.faulty_rows, want.faulty_rows)
+        np.testing.assert_array_equal(loc.faulty_cols, want.faulty_cols)
         assert candidates(loc) == want.candidates
-        assert all(type(i) is int for i in loc.faulty_rows + loc.faulty_cols)
+        assert loc.faulty_rows.dtype == loc.faulty_cols.dtype == np.intp
         fixed, residual = correct_exact(C, loc, prof)
         want_fixed, want_residual = correct_exact_oracle(C, want, prof)
         assert residual_cells(residual) == want_residual  # same cells, same row-major order

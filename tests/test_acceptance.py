@@ -165,8 +165,8 @@ def test_single_error_oracle():
         )
         good = (
             det.triggered
-            and loc.faulty_rows == (r,)
-            and loc.faulty_cols == (c,)
+            and np.array_equal(loc.faulty_rows, [r])
+            and np.array_equal(loc.faulty_cols, [c])
             and not conftest.residual_cells(residual)
             and np.allclose(corrected, clean, atol=atol)
         )
@@ -204,8 +204,8 @@ def test_diagonal_multi_error_oracle():
         injected = set(zip(rows, cols))
         good = (
             detect(faulty, ck).triggered
-            and set(loc.faulty_rows) == set(rows)
-            and set(loc.faulty_cols) == set(cols)
+            and np.array_equal(loc.faulty_rows, sorted(rows))
+            and np.array_equal(loc.faulty_cols, sorted(cols))
             and injected.isdisjoint(conftest.residual_cells(residual))
             and np.allclose(corrected, clean, atol=atol)
         )

@@ -297,6 +297,13 @@ def test_config_from_dict_and_validation():
         config_from_dict({**raw, "abft": {"strategies": ["bogus"]}})
     with pytest.raises(ConfigError):
         config_from_dict({**raw, "faults": {"bers": [], "base_seed": 3}})
+    # a string is not a list of its characters
+    for section, key, value in [("faults", "bers", "1e-6"), ("faults", "scope", "layer0.attn.q"),
+                                ("abft", "strategies", "opt")]:
+        bad = json.loads(json.dumps(raw))
+        bad[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be a list, got '{value}'$"):
+            config_from_dict(bad)
 
 
 @pytest.mark.parametrize("make", [

@@ -132,7 +132,7 @@ class TestAssignments:
         a = AlphaAssignment.uniform(["g1", "g2"], 0.25)
         path = tmp_path / "alphas.json"
         a.save(path)
-        b = AlphaAssignment.from_dict(json.loads(path.read_text()))
+        b = AlphaAssignment(json.loads(path.read_text()))
         assert a.alphas == b.alphas
 
     def test_range_check(self):
@@ -169,7 +169,8 @@ def spy_evaluate(monkeypatch):
 
 
 def greedy_visits(monkeypatch, model, dataset, profiles, order):
-    """The GEMMs a greedy search relaxes, in the order its evaluations do."""
+    """The GEMMs a greedy search relaxes, in the order its evaluations do,
+    and the assignment it returns."""
     cfg = SearchConfig(accuracy_budget=1.0, trials_per_eval=1, ber=1e-6,
                        resolution=0.5, order=order, strategy="opt")
     calls = spy_evaluate(monkeypatch)
@@ -183,7 +184,7 @@ def greedy_visits(monkeypatch, model, dataset, profiles, order):
         changed = [gid for gid in cur if cur[gid] != prev[gid]]
         assert len(changed) == 1
         visited += changed
-    return visited
+    return visited, assignment
 
 
 class TestSearches:
@@ -205,12 +206,17 @@ class TestSearches:
         expected = [n.gemm_id for n in sorted(default_model.nodes, key=lambda n: n.shape.macs)]
         # classifier (320 macs) is the smallest node and must come first
         assert expected[0] == "classifier"
-        visited = greedy_visits(monkeypatch, default_model, small_dataset, search_setup[0], "ascending_size")
+        visited, assignment = greedy_visits(
+            monkeypatch, default_model, small_dataset, search_setup[0], "ascending_size")
         assert visited == expected
+        # the alphas keep model order whatever the visit order
+        in_model_order = [n.gemm_id for n in default_model.nodes]
+        assert visited != in_model_order
+        assert list(assignment.alphas) == in_model_order
 
     def test_greedy_visits_inorder(self, monkeypatch, default_model, small_dataset, search_setup):
         expected = [n.gemm_id for n in default_model.nodes]
-        visited = greedy_visits(monkeypatch, default_model, small_dataset, search_setup[0], "inorder")
+        visited, _ = greedy_visits(monkeypatch, default_model, small_dataset, search_setup[0], "inorder")
         assert visited == expected
 
     def test_greedy_deterministic(self, default_model, small_dataset, search_setup):
